@@ -10,11 +10,16 @@ Hall-type condition: for every order ideal J of 2^[c],
 The ideal J = 2^[c] holds with equality whenever the totals agree, and
 J = {} is trivial, so only proper nonempty ideals are checked; those are
 generated by nonempty antichains.
+
+hall_violation is the package's one Hall check; dual membership and
+divisibility up to symmetry (dual_core) call it with other right-hand sides.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
@@ -47,10 +52,7 @@ class FiberCounts:
 
     @classmethod
     def from_values(cls, c: int, values: Sequence[int]) -> "FiberCounts":
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return cls.from_map(c, counts)
+        return cls.from_map(c, Counter(values))
 
     @property
     def total(self) -> int:
@@ -61,16 +63,44 @@ class FiberCounts:
         return dict(self.fibers)
 
 
+@lru_cache(maxsize=1024)
+def _ideals_generated_in(c: int, gens: frozenset) -> tuple[int, ...]:
+    """Member bitsets of the ideals generated by nonempty antichains of the
+    nonempty masks gens, in bp.proper_nonempty_ideals order.
+
+    Taken by increasing size, a mask is never below an earlier one, so it
+    extends exactly the antichains whose closure misses it.
+    """
+    closures = [frozenset()]
+    for g in sorted(gens, key=int.bit_count):
+        up = bp.upper_closure([g], c)
+        closures += [j | up for j in closures if g not in j]
+    return tuple(sum(1 << t for t in j) for j in sorted(closures[1:], key=bp.ideal_sort_key))
+
+
+def hall_violation(
+    c: int, k: Mapping[int, int], r: Mapping[int, int]
+) -> Optional[frozenset]:
+    """First J in bp.proper_nonempty_ideals(c) with sum_J k_T > sum_J r_T, or None.
+
+    k and r map subset masks to nonnegative counts.  Only the ideals whose
+    minimal elements lie in supp(k) are visited.  That finds the same first
+    violator: shrinking a violator J to the upper closure of J & supp(k)
+    keeps its k-sum, does not raise its r-sum, and sorts no later.
+    """
+    ks = [(t, v) for t, v in k.items() if t and v]
+    for members in _ideals_generated_in(c, frozenset(t for t, _ in ks)):
+        lhs = sum(v for t, v in ks if members >> t & 1)
+        if lhs > sum(v for t, v in r.items() if members >> t & 1):
+            return frozenset(t for t in range(1 << c) if members >> t & 1)
+    return None
+
+
 def _violating_ideal(c: int, k: Mapping[int, int], l: Mapping[int, int]):
     """First proper nonempty ideal J with sum_J k_T > sum_J l_{T^C}, or None."""
-    for ideal in bp.proper_nonempty_ideals(c):
-        lhs = sum(k.get(t, 0) for t in ideal)
-        if lhs == 0:
-            continue
-        rhs = sum(l.get(bp.complement(t, c), 0) for t in ideal)
-        if lhs > rhs:
-            return ideal
-    return None
+    bp.check_ideal_cap(c)
+    full = bp.full_mask(c)
+    return hall_violation(c, k, {full ^ t: v for t, v in l.items()})
 
 
 def avoidance_feasible(k: FiberCounts, l: FiberCounts) -> bool:
@@ -110,7 +140,7 @@ def find_avoiding_permutation(
         raise InputError("f and g must have the same length")
     bp.check_ambient(c)
     n = len(f)
-    if _violating_ideal(c, _fiber_map(f), _fiber_map(g)) is not None:
+    if _violating_ideal(c, Counter(f), Counter(g)) is not None:
         return None
     sigma: list[Optional[int]] = [None] * n
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
@@ -136,7 +166,7 @@ def find_avoiding_permutation(
         rest_f = tuple(i for i in fi if i != i0)
         rest_g = tuple(j for j in gi if j != j0)
         ideal = _violating_ideal(
-            c, _fiber_map(f, rest_f), _fiber_map(g, rest_g)
+            c, Counter(f[i] for i in rest_f), Counter(g[j] for j in rest_g)
         )
         if ideal is None:
             sigma[i0] = j0
@@ -155,14 +185,6 @@ def find_avoiding_permutation(
     assert len(out) == n
     _check_witness(f, g, out)
     return out
-
-
-def _fiber_map(values: Sequence[int], indices=None) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for i in indices if indices is not None else range(len(values)):
-        v = values[i]
-        counts[v] = counts.get(v, 0) + 1
-    return counts
 
 
 def brute_force_avoidance(

@@ -122,13 +122,6 @@ def is_order_ideal(family: Iterable[int], c: int) -> bool:
     return all(s in fam for t in fam for s in supersets(t, c))
 
 
-def is_antichain(family: Iterable[int]) -> bool:
-    fam = list(family)
-    return not any(
-        s != t and is_subset(s, t) for s in fam for t in fam
-    )
-
-
 def subset_sort_key(mask: int):
     """Sort key putting subsets in decreasing standard order.
 
@@ -151,16 +144,26 @@ def subset_lex_compare(s: int, t: int) -> int:
     return 1 if subset_sort_key(s) < subset_sort_key(t) else -1
 
 
+def check_ideal_cap(c: int, max_c: int | None = None) -> None:
+    """Refuse an ambient size above the order-ideal enumeration cap."""
+    check_ambient(c)
+    cap = ideal_enum_cap(max_c)
+    if c > cap:
+        raise CapError(f"order-ideal enumeration capped at c<={cap}, got c={c}")
+
+
+def ideal_sort_key(ideal: frozenset):
+    """Order of proper_nonempty_ideals: by size, then by sorted members."""
+    return (len(ideal), sorted(ideal))
+
+
 def enumerate_order_ideals(c: int, max_c: int | None = None) -> Iterator[frozenset]:
     """Yield every upper order ideal of 2^[c] exactly once, incl. {} and 2^[c].
 
     Depth-first extension over the standard order: a subset may enter the
     ideal only once all its covers are in, so each up-set appears once.
     """
-    check_ambient(c)
-    cap = ideal_enum_cap(max_c)
-    if c > cap:
-        raise CapError(f"order-ideal enumeration capped at c<={cap}, got c={c}")
+    check_ideal_cap(c, max_c)
     order = sort_standard(range(1 << c))
     parents = {
         s: [s | (1 << b) for b in range(c) if not s >> b & 1] for s in order
@@ -197,7 +200,7 @@ def proper_nonempty_ideals(c: int) -> tuple[frozenset, ...]:
     ideals = [
         j for j in enumerate_order_ideals(c) if 0 < len(j) < (1 << c)
     ]
-    ideals.sort(key=lambda j: (len(j), sorted(j)))
+    ideals.sort(key=ideal_sort_key)
     return tuple(ideals)
 
 
@@ -213,10 +216,21 @@ def subset_to_json(mask: int) -> list[int]:
     return list(elements(mask))
 
 
+def int_from_json(doc, what: str) -> int:
+    """A JSON integer; a bool or any other type is a schema violation."""
+    if isinstance(doc, bool) or not isinstance(doc, int):
+        raise InputError(f"{what} must be an integer, got {doc!r}")
+    return doc
+
+
+def list_from_json(doc, what: str) -> list:
+    if not isinstance(doc, list):
+        raise InputError(f"{what} must be a list, got {doc!r}")
+    return doc
+
+
 def subset_from_json(doc, c: int) -> int:
-    if not isinstance(doc, list) or not all(isinstance(i, int) for i in doc):
-        raise InputError(f"subset must be a list of integers, got {doc!r}")
-    return mask_of(doc, c)
+    return mask_of([int_from_json(i, "row index") for i in list_from_json(doc, "subset")], c)
 
 
 def family_to_json(family: Iterable[int]) -> list[list[int]]:
@@ -224,6 +238,4 @@ def family_to_json(family: Iterable[int]) -> list[list[int]]:
 
 
 def family_from_json(doc, c: int) -> frozenset:
-    if not isinstance(doc, list):
-        raise InputError(f"family must be a list of subsets, got {doc!r}")
-    return frozenset(subset_from_json(s, c) for s in doc)
+    return frozenset(subset_from_json(s, c) for s in list_from_json(doc, "family"))

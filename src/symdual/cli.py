@@ -162,14 +162,12 @@ def cmd_min_degree(args) -> dict:
             "count": len(gens),
             "orbits": [_orbit_record(tv) for tv in gens],
         }
-    slope, intercept, window = counting.min_degree_series(system, ns, max_c=args.max_c)
+    degrees = {n: dual_core.min_degree_gens(system, n, max_c=args.max_c)[0] for n in ns}
+    slope, intercept, window = counting.min_degree_line(degrees, system.c)
     return {
         "command": "min-degree",
         "system": generator_system_to_json(system),
-        "series": [
-            {"n": n, "degree": dual_core.min_degree_gens(system, n, max_c=args.max_c)[0]}
-            for n in ns
-        ],
+        "series": [{"n": n, "degree": degrees[n]} for n in ns],
         "slope": slope,
         "intercept": intercept,
         "window": list(window),
@@ -233,11 +231,9 @@ def cmd_match(args) -> dict:
     for key in ("c", "f", "g"):
         if key not in doc:
             raise InputError(f"match input needs '{key}'")
-    c = doc["c"]
-    f = [bp.subset_from_json(s, c) for s in doc["f"]]
-    g = [bp.subset_from_json(s, c) for s in doc["g"]]
-    if len(f) != len(g):
-        raise InputError("f and g must have the same length")
+    c = bp.int_from_json(doc["c"], "c")
+    f = [bp.subset_from_json(s, c) for s in bp.list_from_json(doc["f"], "f")]
+    g = [bp.subset_from_json(s, c) for s in bp.list_from_json(doc["g"], "g")]
     sigma = avoidance.find_avoiding_permutation(f, g, c)
     if sigma is not None:
         return {

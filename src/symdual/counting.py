@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import boolean_poset as bp
 from . import dual_core
@@ -164,12 +164,19 @@ def min_degree_series(
     Returns (a, b, (n_first, n_last)) for the longest suffix of the sampled
     range with constant first differences; the slope must land in [0, c].
     """
-    ns = sorted(ns)
-    if any(b - a != 1 for a, b in zip(ns, ns[1:])):
-        raise InputError("min-degree series needs consecutive n")
     degrees = {
         n: dual_core.min_degree_gens(system, n, max_c=max_c)[0] for n in ns
     }
+    return min_degree_line(degrees, system.c)
+
+
+def min_degree_line(
+    degrees: Mapping[int, int], c: int
+) -> tuple[int, int, tuple[int, int]]:
+    """min_degree_series on least degrees already computed, keyed by consecutive n."""
+    ns = sorted(degrees)
+    if any(b - a != 1 for a, b in zip(ns, ns[1:])):
+        raise InputError("min-degree series needs consecutive n")
     if len(ns) < 3:
         raise FitError("need at least 3 samples to detect a stable slope")
     slope = degrees[ns[-1]] - degrees[ns[-2]]
@@ -181,7 +188,7 @@ def min_degree_series(
             break
     if ns[-1] - start < 2:
         raise FitError("no stable window of constant first differences")
-    assert 0 <= slope <= system.c, f"min-degree slope {slope} outside [0, c]"
+    assert 0 <= slope <= c, f"min-degree slope {slope} outside [0, c]"
     intercept = degrees[start] - slope * start
     return slope, intercept, (start, ns[-1])
 

@@ -1,16 +1,16 @@
 """Membership, divisibility and minimal orbit generators of Alexander duals.
 
-Everything here runs on TypeVectors.  Writing k_T for the column counts of a
-generator orbit and l_T for those of a candidate monomial (with the implicit
-l_empty = n - weight padding), the three kernels are:
+Everything here runs on TypeVectors.  Write k_T for the column counts of a
+generator orbit and l_T for those of a candidate monomial, with the implicit
+l_empty = n - weight padding.  Membership and divisibility are both the
+avoidance check, avoidance.hall_violation, with other right-hand sides:
 
-* membership in the dual of a one-orbit ideal: some proper nonempty order
-  ideal J of 2^[c] satisfies sum_{T in J} k_T > sum_{T in J} l_{T^C};
-* membership in the dual of a multi-orbit ideal: the conjunction over the
-  orbit generators;
-* divisibility up to column permutation: for every order ideal J generated
-  by a nonempty subset of the divisor's support, the divisor's J-sum does
-  not exceed the dividend's (J = 2^[c] always holds with equality and is
+* b is in the dual of the one-orbit ideal of a iff some proper nonempty
+  order ideal J of 2^[c] has sum_{T in J} k_T > sum_{T in J} l_{T^C};
+* the dual of a multi-orbit ideal is the intersection over the orbit
+  generators;
+* a divides b up to column permutation iff no proper nonempty order ideal J
+  has an a-sum above its b-sum (J = 2^[c] holds with equality and is
   skipped).
 
 On top of those sit the closed-form minimal generating sets: per antichain
@@ -26,6 +26,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from . import boolean_poset as bp
+from .avoidance import hall_violation
 from .config import tuple_enum_cap
 from .errors import CapError, InputError, WidthError
 from .orbit_monomials import GeneratorSystem, TypeVector
@@ -65,33 +66,16 @@ def k_of_antichain(tv: TypeVector, antichain: Iterable[int]) -> int:
     )
 
 
-def _padded_complement_sum(b: TypeVector, ideal: frozenset, n: int) -> int:
-    """sum_{T in ideal} l_{T^C} where l carries the implicit zero-column count."""
-    c = b.c
-    counts = b.counts
-    total = 0
-    full = bp.full_mask(c)
-    for t in ideal:
-        comp = full ^ t
-        if comp == 0:
-            total += n - b.weight
-        else:
-            total += counts.get(comp, 0)
-    return total
-
-
 def in_dual_single(a: TypeVector, b: TypeVector, n: int) -> bool:
     """Is the orbit monomial of b in the dual of the one-orbit ideal of a at width n?"""
     if a.c != b.c:
         raise InputError("ambient sizes differ")
     if n < max(a.weight, b.weight):
         raise WidthError(f"width n={n} below weight {max(a.weight, b.weight)}")
-    ka = a.counts
-    for ideal in bp.proper_nonempty_ideals(a.c):
-        lhs = sum(ka.get(t, 0) for t in ideal)
-        if lhs and lhs > _padded_complement_sum(b, ideal, n):
-            return True
-    return False
+    full = bp.full_mask(a.c)
+    l_bar = {full ^ t: v for t, v in b.items}
+    l_bar[full] = n - b.weight
+    return hall_violation(a.c, a.counts, l_bar) is not None
 
 
 def in_dual(system: GeneratorSystem, b: TypeVector, n: int) -> bool:
@@ -105,22 +89,7 @@ def divides_up_to_sym(bp_tv: TypeVector, b: TypeVector, n: int) -> bool:
         raise InputError("ambient sizes differ")
     if n < max(bp_tv.weight, b.weight):
         raise WidthError(f"width n={n} below weight {max(bp_tv.weight, b.weight)}")
-    c = bp_tv.c
-    jc = bp_tv.counts
-    lc = b.counts
-    supp = sorted(bp_tv.support)
-    seen: set[frozenset] = set()
-    for picks in product((False, True), repeat=len(supp)):
-        chosen = [s for s, take in zip(supp, picks) if take]
-        if not chosen:
-            continue
-        ideal = bp.upper_closure(chosen, c)
-        if ideal in seen:
-            continue
-        seen.add(ideal)
-        if sum(jc.get(t, 0) for t in ideal) > sum(lc.get(t, 0) for t in ideal):
-            return False
-    return True
+    return hall_violation(bp_tv.c, bp_tv.counts, b.counts) is None
 
 
 def superset_sums(tv: TypeVector) -> list[int]:

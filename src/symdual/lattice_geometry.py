@@ -324,15 +324,16 @@ def polyhedron_to_json(p: SumPolyhedron) -> dict:
 def polyhedron_from_json(doc) -> SumPolyhedron:
     if not isinstance(doc, dict) or "k" not in doc:
         raise InputError("polyhedron document needs 'k'")
-    k = doc["k"]
+    k = bp.int_from_json(doc["k"], "k")
     bp.check_ambient(k)
 
-    def read(entries):
+    def read(key):
         out = {}
-        for entry in entries or []:
+        for entry in bp.list_from_json(doc.get(key, []), key):
             if not isinstance(entry, dict) or "support" not in entry or "bound" not in entry:
                 raise InputError(f"bad constraint entry {entry!r}")
-            out[tuple(entry["support"])] = entry["bound"]
+            mask = bp.subset_from_json(entry["support"], k)
+            out[mask] = bp.int_from_json(entry["bound"], "bound")
         return out
 
-    return SumPolyhedron.from_maps(k, read(doc.get("lower")), read(doc.get("upper")))
+    return SumPolyhedron.from_maps(k, read("lower"), read("upper"))

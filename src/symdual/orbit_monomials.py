@@ -104,7 +104,7 @@ def type_vector_of_matrix(rows: Sequence[Sequence[int]]) -> TypeVector:
         mask = 0
         for i in range(c):
             entry = rows[i][j]
-            if entry not in (0, 1):
+            if isinstance(entry, bool) or entry not in (0, 1):
                 raise InputError(f"matrix entry {entry!r} at ({i + 1},{j + 1}) is not a bit")
             if entry:
                 mask |= 1 << i
@@ -126,22 +126,6 @@ def standard_matrix(tv: TypeVector, n: int) -> list[list[int]]:
 
 def matrix_from_columns(cols: Sequence[int], c: int) -> list[list[int]]:
     return [[(col >> i) & 1 for col in cols] for i in range(c)]
-
-
-def column_supports(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Support mask of each column of a 0/1 matrix."""
-    c = len(rows)
-    n = len(rows[0]) if rows else 0
-    out = []
-    for j in range(n):
-        mask = 0
-        for i in range(c):
-            if rows[i][j] not in (0, 1):
-                raise InputError(f"matrix entry {rows[i][j]!r} is not a bit")
-            if rows[i][j]:
-                mask |= 1 << i
-        out.append(mask)
-    return out
 
 
 def orbit_size(tv: TypeVector, n: int) -> int:
@@ -198,7 +182,7 @@ def _counts_from_json(doc, c: int) -> dict[int, int]:
             if not isinstance(entry, dict) or "support" not in entry or "count" not in entry:
                 raise InputError(f"bad counts entry {entry!r}")
             mask = bp.subset_from_json(entry["support"], c)
-            counts[mask] = counts.get(mask, 0) + entry["count"]
+            counts[mask] = counts.get(mask, 0) + bp.int_from_json(entry["count"], "count")
     elif isinstance(doc, dict):
         for key, k in doc.items():
             try:
@@ -206,7 +190,7 @@ def _counts_from_json(doc, c: int) -> dict[int, int]:
             except (TypeError, json.JSONDecodeError) as exc:
                 raise InputError(f"bad subset key {key!r}") from exc
             mask = bp.subset_from_json(support, c)
-            counts[mask] = counts.get(mask, 0) + k
+            counts[mask] = counts.get(mask, 0) + bp.int_from_json(k, "count")
     else:
         raise InputError(f"counts must be a list or an object, got {doc!r}")
     return counts
@@ -216,12 +200,12 @@ def type_vector_from_json(doc, c: int | None = None) -> TypeVector:
     if not isinstance(doc, dict):
         raise InputError(f"type vector must be an object, got {doc!r}")
     if c is None:
-        c = doc.get("c")
-        if c is None:
+        if "c" not in doc:
             raise InputError("type vector document is missing 'c'")
+        c = bp.int_from_json(doc["c"], "c")
     if "matrix" in doc:
-        rows = doc["matrix"]
-        tv = type_vector_of_matrix(rows)
+        rows = bp.list_from_json(doc["matrix"], "matrix")
+        tv = type_vector_of_matrix([bp.list_from_json(r, "matrix row") for r in rows])
         if tv.c != c:
             raise InputError("matrix row count differs from declared c")
         return tv
@@ -242,10 +226,6 @@ def generator_system_to_json(system: GeneratorSystem) -> dict:
 def generator_system_from_json(doc) -> GeneratorSystem:
     if not isinstance(doc, dict) or "c" not in doc or "generators" not in doc:
         raise InputError("generator system document needs 'c' and 'generators'")
-    c = doc["c"]
-    gens = [type_vector_from_json(g, c) for g in doc["generators"]]
-    return GeneratorSystem.make(c, gens)
-
-
-def matrix_to_json(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(r) for r in rows]
+    c = bp.int_from_json(doc["c"], "c")
+    gens = bp.list_from_json(doc["generators"], "generators")
+    return GeneratorSystem.make(c, [type_vector_from_json(g, c) for g in gens])

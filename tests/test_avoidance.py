@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdual import boolean_poset as bp
 from symdual.avoidance import (
@@ -8,6 +9,7 @@ from symdual.avoidance import (
     avoidance_feasible,
     brute_force_avoidance,
     find_avoiding_permutation,
+    hall_violation,
     violating_order_ideal,
 )
 from symdual.errors import CapError, TotalMismatchError
@@ -107,3 +109,26 @@ class TestBruteForce:
     def test_small_witness(self):
         assert brute_force_avoidance([m(1)], [m(1, 3)]) is None
         assert brute_force_avoidance([m(1)], [m(2)]) == [0]
+
+
+@st.composite
+def count_maps(draw):
+    c = draw(st.integers(1, 4))
+    counts = st.dictionaries(st.integers(0, (1 << c) - 1), st.integers(0, 4), max_size=8)
+    return c, draw(counts), draw(counts)
+
+
+def full_scan_violation(c, k, r):
+    """Reference: every proper nonempty ideal, in order, no support restriction."""
+    for ideal in bp.proper_nonempty_ideals(c):
+        if sum(k.get(t, 0) for t in ideal) > sum(r.get(t, 0) for t in ideal):
+            return ideal
+    return None
+
+
+class TestHallKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(count_maps())
+    def test_restricted_scan_finds_the_first_violator(self, case):
+        c, k, r = case
+        assert hall_violation(c, k, r) == full_scan_violation(c, k, r)

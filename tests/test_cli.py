@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from symdual.cli import EXIT_CAP, EXIT_OK, EXIT_SCHEMA, main
 
 TRIANGLE = json.dumps({
@@ -80,6 +82,21 @@ class TestMinDegree:
         doc = run_json(capsys, "min-degree", "--json", EDGE, "--n", "2..7")
         assert doc["slope"] == 1 and doc["intercept"] == 0
 
+    def test_series_computes_each_width_once(self, capsys, monkeypatch):
+        from symdual import dual_core
+
+        widths = []
+        original = dual_core.min_gens
+
+        def counted(system, n, max_c=None):
+            widths.append(n)
+            return original(system, n, max_c=max_c)
+
+        monkeypatch.setattr(dual_core, "min_gens", counted)
+        doc = run_json(capsys, "min-degree", "--json", EDGE, "--n", "2..7")
+        assert widths == [2, 3, 4, 5, 6, 7]
+        assert [s["degree"] for s in doc["series"]] == [2, 3, 4, 5, 6, 7]
+
 
 class TestFacesAndFacets:
     def test_faces(self, capsys):
@@ -156,6 +173,42 @@ class TestErrors:
     def test_width_too_small(self, capsys):
         code, _ = run(capsys, "dual-gens", "--json", TWO_ORBIT, "--n", "2")
         assert code == EXIT_SCHEMA
+
+
+def _count_entry(count):
+    return {"c": 2, "generators": [{"counts": [{"support": [1], "count": count}]}]}
+
+
+def _cone(**changes):
+    return {"k": 2, "lower": [{"support": [1], "bound": 0}, {"support": [2], "bound": 0}],
+            **changes}
+
+
+MALFORMED = [
+    ("dual-gens", {"c": "3", "generators": [{"counts": [{"support": [1], "count": 1}]}]}),
+    ("dual-gens", _count_entry("x")),
+    ("dual-gens", _count_entry(True)),
+    ("dual-gens", {"c": 2, "generators": "abc"}),
+    ("dual-gens", {"c": 2, "generators": [{"matrix": 5}]}),
+    ("dual-gens", {"c": 1, "generators": [{"matrix": [[True]]}]}),
+    ("cone", _cone(lower=[{"support": [1], "bound": "a"}, {"support": [2], "bound": 0}])),
+    ("cone", _cone(upper=5)),
+    ("cone", _cone(lower=[{"support": 1, "bound": 0}])),
+    ("cone", {"k": "2", "lower": []}),
+    ("match", {"c": "2", "f": [[1]], "g": [[2]]}),
+    ("match", {"c": True, "f": [[1]], "g": [[1]]}),
+    ("match", {"c": 2, "f": 5, "g": [[1]]}),
+    ("match", {"c": 2, "f": [[True]], "g": [[2]]}),
+]
+
+
+@pytest.mark.parametrize("command,doc", MALFORMED)
+def test_malformed_document_is_a_one_line_schema_error(capsys, command, doc):
+    code = main([command, "--json", json.dumps(doc), "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestTableFormat:

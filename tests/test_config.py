@@ -1,9 +1,10 @@
 import pytest
 
 from symdual import boolean_poset as bp
+from symdual.cli import main
 from symdual.config import ENV_MAX_C, ideal_enum_cap, tuple_enum_cap
 from symdual.dual_core import min_gens
-from symdual.errors import CapError
+from symdual.errors import CapError, InputError
 from symdual.orbit_monomials import GeneratorSystem, TypeVector
 
 
@@ -30,3 +31,17 @@ class TestCaps:
             min_gens(system, 2)
         # explicit override admits the larger ambient size
         assert len(min_gens(system, 2, max_c=5)) >= 1
+
+    @pytest.mark.parametrize("raw", ["abc", "4.5", "0", "-2"])
+    def test_env_value_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv(ENV_MAX_C, raw)
+        with pytest.raises(InputError, match=ENV_MAX_C):
+            ideal_enum_cap()
+        with pytest.raises(InputError, match=ENV_MAX_C):
+            tuple_enum_cap()
+
+    def test_bad_env_value_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv(ENV_MAX_C, "0")
+        edge = '{"c": 2, "generators": [{"counts": {"[1, 2]": 1}}]}'
+        assert main(["count", "--json", edge, "--n", "3"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
