@@ -29,7 +29,6 @@ from .counting import (
     type_vectors_of_degree,
 )
 from .dual_core import (
-    GenFamily,
     divides_up_to_sym,
     general_candidates,
     in_dual,

@@ -23,7 +23,10 @@ Antichain = frozenset
 
 
 def check_ambient(c: int) -> None:
-    if not isinstance(c, int) or not 1 <= c <= SUBSET_MAX_C:
+    """An ambient size below 1 is malformed input; one above SUBSET_MAX_C hits a cap."""
+    if not isinstance(c, int) or c < 1:
+        raise InputError(f"ambient size c={c!r} must be an integer of at least 1")
+    if c > SUBSET_MAX_C:
         raise CapError(f"ambient size c={c!r} outside 1..{SUBSET_MAX_C}")
 
 

@@ -16,7 +16,6 @@ import sys
 from . import avoidance, boolean_poset as bp, counting, dual_core, lattice_geometry, oracle
 from .errors import CapError, FitError, InputError, SymdualError, VerificationError
 from .orbit_monomials import (
-    GeneratorSystem,
     generator_system_from_json,
     generator_system_to_json,
     type_vector_to_json,
@@ -28,6 +27,17 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_CAP = 3
 EXIT_INVARIANT = 4
+
+# Exit code per exception class; an error takes the entry of the nearest
+# class in its method resolution order.
+EXIT_CODES = {
+    CapError: EXIT_CAP,
+    VerificationError: EXIT_INVARIANT,
+    InputError: EXIT_SCHEMA,
+    FitError: EXIT_SCHEMA,
+    SymdualError: EXIT_SCHEMA,
+    OSError: EXIT_SCHEMA,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,10 +100,6 @@ def load_document(args) -> dict:
     return doc
 
 
-def _system(doc) -> GeneratorSystem:
-    return generator_system_from_json(doc)
-
-
 def _orbit_record(tv) -> dict:
     return {
         "counts": type_vector_to_json(tv)["counts"],
@@ -103,7 +109,7 @@ def _orbit_record(tv) -> dict:
 
 
 def cmd_dual_gens(args) -> dict:
-    system = _system(load_document(args))
+    system = generator_system_from_json(load_document(args))
     (n,) = parse_range(args.n)
     gens = dual_core.min_gens(system, n, max_c=args.max_c)
     return {
@@ -116,7 +122,7 @@ def cmd_dual_gens(args) -> dict:
 
 
 def cmd_count(args) -> dict:
-    system = _system(load_document(args))
+    system = generator_system_from_json(load_document(args))
     ns = parse_range(args.n)
     samples = [
         {"n": n, "count": counting.dual_orbit_count(system, n, max_c=args.max_c)}
@@ -130,7 +136,7 @@ def cmd_count(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
-    system = _system(load_document(args))
+    system = generator_system_from_json(load_document(args))
     ns = parse_range(args.n)
     series = counting.count_series(system, ns, max_c=args.max_c)
     bound = (
@@ -150,7 +156,7 @@ def cmd_fit(args) -> dict:
 
 
 def cmd_min_degree(args) -> dict:
-    system = _system(load_document(args))
+    system = generator_system_from_json(load_document(args))
     ns = parse_range(args.n)
     if len(ns) == 1:
         degree, gens = dual_core.min_degree_gens(system, ns[0], max_c=args.max_c)
@@ -175,7 +181,7 @@ def cmd_min_degree(args) -> dict:
 
 
 def cmd_faces(args) -> dict:
-    system = _system(load_document(args))
+    system = generator_system_from_json(load_document(args))
     if args.j is None:
         raise InputError("--j is required for faces")
     ns = parse_range(args.n)
@@ -191,7 +197,7 @@ def cmd_faces(args) -> dict:
 
 
 def cmd_facets(args) -> dict:
-    system = _system(load_document(args))
+    system = generator_system_from_json(load_document(args))
     (n,) = parse_range(args.n)
     hist = counting.facet_orbits_by_dimension(system, n, max_c=args.max_c)
     return {
@@ -253,7 +259,7 @@ def cmd_match(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    system = _system(load_document(args))
+    system = generator_system_from_json(load_document(args))
     ns = parse_range(args.n)
     rng = random.Random(args.seed)
     checks = {
@@ -358,18 +364,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = COMMANDS[args.command](args)
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (InputError, FitError, OSError, SymdualError) as exc:
-        if isinstance(exc, VerificationError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except AssertionError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
     doc = {"schema": SCHEMA, **doc}
     if args.format == "table":
         sys.stdout.write(render_table(doc))

@@ -13,14 +13,15 @@ avoidance check, avoidance.hall_violation, with other right-hand sides:
   has an a-sum above its b-sum (J = 2^[c] holds with equality and is
   skipped).
 
-On top of those sit the closed-form minimal generating sets: per antichain
-for one-orbit ideals, and via tuples of order ideals in general, pruned to
-minimality by pairwise divisibility.
+On top of those sit the minimal generating sets, and min_gens picks the
+path from the input.  A one-generator system takes the closed form, one
+class per antichain cut out by inequalities on the column counts.  Two or
+more generators take the ideal-tuple enumeration, pruned to minimality by
+pairwise divisibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
@@ -30,28 +31,6 @@ from .avoidance import hall_violation
 from .config import tuple_enum_cap
 from .errors import CapError, InputError, WidthError
 from .orbit_monomials import GeneratorSystem, TypeVector
-
-
-@dataclass(frozen=True)
-class GenFamily:
-    """A fixed block of columns plus an antichain of free supports.
-
-    fixed maps support masks (the empty mask, for zero columns, is allowed)
-    to positive column counts; the free supports range over the antichain,
-    disjoint from the upper closure of the fixed supports' complement region.
-    """
-
-    c: int
-    fixed: tuple[tuple[int, int], ...]
-    antichain: frozenset
-
-    def __post_init__(self):
-        closure = bp.upper_closure(self.antichain, self.c)
-        for mask, k in self.fixed:
-            if k < 1:
-                raise InputError("fixed counts must be positive")
-            if mask in closure:
-                raise InputError("fixed supports must avoid the antichain's closure")
 
 
 def k_of_antichain(tv: TypeVector, antichain: Iterable[int]) -> int:
@@ -106,6 +85,15 @@ def superset_sums(tv: TypeVector) -> list[int]:
     return v
 
 
+def _check_enumerable(c: int, m: int, n: int, max_c: int | None) -> None:
+    """Guards shared by both minimal-generator paths: the c cap, then width n >= m."""
+    cap = tuple_enum_cap(max_c)
+    if c > cap:
+        raise CapError(f"ideal-tuple enumeration capped at c<={cap}, got c={c}")
+    if n < m:
+        raise WidthError(f"width n={n} below the system's stability width {m}")
+
+
 # -- one orbit ---------------------------------------------------------------
 
 
@@ -137,19 +125,12 @@ def one_orbit_min_gens(
     conditions and can empty a class outright.
     """
     c = a.c
-    if n < a.weight:
-        raise WidthError(f"width n={n} below weight {a.weight}")
-    cap = tuple_enum_cap(max_c)
-    if c > cap:
-        raise CapError(f"antichain enumeration capped at c<={cap}, got c={c}")
+    _check_enumerable(c, a.weight, n, max_c)
     antichains = [
         ac for ac in bp.nonempty_antichains(c) if 0 not in ac
     ]
     k_of = {ac: k_of_antichain(a, ac) for ac in antichains}
     eligible = [ac for ac in antichains if k_of[ac] >= 1]
-    stability = max((k_of[ac] - 1 for ac in eligible), default=0)
-    if n < stability:
-        return min_gens(GeneratorSystem.make(c, [a]), n, max_c=max_c)
     out: list[TypeVector] = []
     for chain in eligible:
         target = n + 1 - k_of[chain]
@@ -239,11 +220,7 @@ def general_candidates(
     dual; it is deduplicated but not yet minimal.
     """
     c = system.c
-    cap = tuple_enum_cap(max_c)
-    if c > cap:
-        raise CapError(f"ideal-tuple enumeration capped at c<={cap}, got c={c}")
-    if n < system.m:
-        raise WidthError(f"width n={n} below the system's stability width {system.m}")
+    _check_enumerable(c, system.m, n, max_c)
     ideals, bars = _ideal_tables(c)
     gens = system.generators
     ksums = [
@@ -276,15 +253,15 @@ def general_candidates(
             for members in cells.values()
             for s in bp.minimal_elements(members)
         )
-        free_chain = bp.sort_standard(
+        free_chain = tuple(bp.sort_standard(
             bp.minimal_elements(all_nonempty - region)
-        )
+        ))
         member_rows = [
             [i for i, bar in enumerate(tup_bars) if s in bar] for s in allowed
         ]
         for solution in _strict_solutions(allowed, caps, member_rows):
             fixed = tuple(sorted((s, v) for s, v in solution.items() if v))
-            family = GenFamily(c, fixed, frozenset(free_chain))
+            family = (fixed, free_chain)
             if family in seen_families:
                 continue
             seen_families.add(family)
@@ -307,6 +284,19 @@ def min_gens(
     system: GeneratorSystem, n: int, max_c: int | None = None
 ) -> tuple[TypeVector, ...]:
     """The minimal orbit generating set of the dual at width n, sorted.
+
+    One generator takes the closed form of one_orbit_min_gens; two or more
+    take the ideal-tuple enumeration of _general_min_gens.
+    """
+    if len(system.generators) == 1:
+        return one_orbit_min_gens(system.generators[0], n, max_c=max_c)
+    return _general_min_gens(system, n, max_c=max_c)
+
+
+def _general_min_gens(
+    system: GeneratorSystem, n: int, max_c: int | None = None
+) -> tuple[TypeVector, ...]:
+    """min_gens by candidate enumeration and pruning, for any number of generators.
 
     A candidate survives iff no other candidate orbit properly divides it up
     to symmetry; since the candidate set generates, the survivors are

@@ -76,8 +76,9 @@ class TypeVector:
 
     def sort_key(self):
         """Deterministic order: by degree, then counts read in standard subset order."""
+        counts = self.counts
         vec = tuple(
-            self.get(m) for m in bp.sort_standard(range(1, 1 << self.c))
+            counts.get(m, 0) for m in bp.sort_standard(range(1, 1 << self.c))
         )
         return (self.degree, vec)
 

@@ -170,9 +170,28 @@ class TestErrors:
         code, _ = run(capsys, "dual-gens", "--json", big, "--n", "3")
         assert code == EXIT_CAP
 
+    def test_fit_error_is_schema_error(self, capsys):
+        code, _ = run(capsys, "fit", "--json", EDGE, "--n", "2..3")
+        assert code == EXIT_SCHEMA
+
     def test_width_too_small(self, capsys):
         code, _ = run(capsys, "dual-gens", "--json", TWO_ORBIT, "--n", "2")
         assert code == EXIT_SCHEMA
+
+
+ONE_GENERATOR_C5 = json.dumps({
+    "c": 5, "generators": [{"counts": [{"support": [1], "count": 1}]}],
+})
+
+
+@pytest.mark.parametrize("command", ["dual-gens", "count", "facets", "min-degree", "verify"])
+@pytest.mark.parametrize("doc,n,code,message", [
+    (ONE_GENERATOR_C5, "3", EXIT_CAP, "ideal-tuple enumeration capped at c<=4, got c=5"),
+    (TRIANGLE, "2", EXIT_SCHEMA, "width n=2 below the system's stability width 3"),
+])
+def test_one_generator_guards(capsys, command, doc, n, code, message):
+    assert main([command, "--json", doc, "--n", n]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _count_entry(count):
@@ -199,6 +218,9 @@ MALFORMED = [
     ("match", {"c": True, "f": [[1]], "g": [[1]]}),
     ("match", {"c": 2, "f": 5, "g": [[1]]}),
     ("match", {"c": 2, "f": [[True]], "g": [[2]]}),
+    ("dual-gens", {"c": 0, "generators": [{"counts": []}]}),
+    ("cone", {"k": 0, "lower": []}),
+    ("match", {"c": 0, "f": [], "g": []}),
 ]
 
 

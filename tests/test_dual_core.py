@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdual import boolean_poset as bp
 from symdual.avoidance import FiberCounts, avoidance_feasible
 from symdual.dual_core import (
+    _general_min_gens,
     divides_up_to_sym,
     general_candidates,
     in_dual,
@@ -40,25 +42,6 @@ def random_tv(rng, c, max_weight, nonzero=True):
     if nonzero and not counts:
         counts[rng.randrange(1, 1 << c)] = 1
     return TypeVector.from_counts(c, counts)
-
-
-class TestGenFamily:
-    def test_rejects_fixed_support_inside_closure(self):
-        from symdual.dual_core import GenFamily
-        from symdual.errors import InputError
-        with pytest.raises(InputError):
-            GenFamily(3, ((bp.mask_of([1, 2], 3), 1),), frozenset({bp.mask_of([1], 3)}))
-
-    def test_rejects_nonpositive_counts(self):
-        from symdual.dual_core import GenFamily
-        from symdual.errors import InputError
-        with pytest.raises(InputError):
-            GenFamily(3, ((0, 0),), frozenset({bp.mask_of([1], 3)}))
-
-    def test_zero_column_support_allowed(self):
-        from symdual.dual_core import GenFamily
-        fam = GenFamily(3, ((0, 2),), frozenset({bp.mask_of([1, 2], 3)}))
-        assert fam.fixed == ((0, 2),)
 
 
 class TestKOfAntichain:
@@ -177,7 +160,30 @@ class TestOneOrbitMinGens:
             a = random_tv(rng, c, 3)
             n = a.weight + rng.randint(0, 3)
             sys_ = GeneratorSystem.make(c, [a])
-            assert set(one_orbit_min_gens(a, n)) == set(min_gens(sys_, n))
+            assert set(one_orbit_min_gens(a, n)) == set(_general_min_gens(sys_, n))
+
+
+@st.composite
+def one_generator_widths(draw):
+    c = draw(st.integers(1, 3))
+    counts = draw(st.dictionaries(
+        st.integers(1, (1 << c) - 1), st.integers(1, 2), min_size=1, max_size=4
+    ))
+    a = TypeVector.from_counts(c, counts)
+    return a, a.weight + draw(st.integers(0, 3))
+
+
+class TestMinGensSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(one_generator_widths())
+    def test_one_generator_takes_the_closed_form(self, case):
+        a, n = case
+        system = GeneratorSystem.make(a.c, [a])
+        gens = min_gens(system, n)
+        assert gens == one_orbit_min_gens(a, n)
+        assert gens == _general_min_gens(system, n)
+        if a.c * n <= 12:
+            assert set(gens) == set(brute_min_gens_dual(system, n))
 
 
 class TestGeneralCandidates:
