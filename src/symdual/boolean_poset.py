@@ -140,6 +140,12 @@ def sort_standard(masks: Iterable[int]) -> list[int]:
     return sorted(masks, key=subset_sort_key)
 
 
+@lru_cache(maxsize=None)
+def standard_order(c: int) -> tuple[int, ...]:
+    """All nonempty masks of [c] in decreasing standard order."""
+    return tuple(sort_standard(range(1, 1 << c)))
+
+
 def subset_lex_compare(s: int, t: int) -> int:
     """+1 if S > T in the standard order, -1 if S < T, 0 if equal."""
     if s == t:

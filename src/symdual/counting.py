@@ -211,7 +211,7 @@ def type_vectors_of_degree(
 ) -> Iterator[TypeVector]:
     """All type vectors over [c] of the given total degree (weight capped)."""
     bp.check_ambient(c)
-    supports = bp.sort_standard(range(1, 1 << c))
+    supports = bp.standard_order(c)
     sizes = [m.bit_count() for m in supports]
     counts: dict[int, int] = {}
 

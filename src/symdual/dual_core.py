@@ -17,7 +17,9 @@ On top of those sit the minimal generating sets, and min_gens picks the
 path from the input.  A one-generator system takes the closed form, one
 class per antichain cut out by inequalities on the column counts.  Two or
 more generators take the ideal-tuple enumeration, pruned to minimality by
-pairwise divisibility.
+divisibility against the smaller survivors.  That enumeration runs on plain
+integers: a family of subsets of [c] is a 2^c-bit mask, so regions, overlap
+cells and minimal elements are bit operations on per-c tables.
 """
 
 from __future__ import annotations
@@ -171,40 +173,63 @@ def one_orbit_min_gens(
 
 
 # -- general case -------------------------------------------------------------
+# Families of subsets of [c] are 2^c-bit integers: bit t set iff t is a member.
 
 
 @lru_cache(maxsize=None)
 def _ideal_tables(c: int):
-    """Proper nonempty ideals of 2^[c] with their complement families."""
+    """The proper nonempty ideals, their complement families, each mask's rank
+    in bp.standard_order and each mask's family of proper supersets."""
+    full = bp.full_mask(c)
     ideals = bp.proper_nonempty_ideals(c)
-    bars = tuple(frozenset(bp.complement(t, c) for t in j) for j in ideals)
-    return ideals, bars
+    bars = tuple(sum(1 << (full ^ t) for t in j) for j in ideals)
+    rank = [0] * (1 << c)
+    for i, m in enumerate(bp.standard_order(c)):
+        rank[m] = i
+    up = tuple(
+        sum(1 << t for t in bp.supersets(s, c)) ^ (1 << s) for s in range(1 << c)
+    )
+    return ideals, bars, rank, up
+
+
+def _minimal(family: int, up) -> int:
+    """The members of a family with no other member below them."""
+    above = 0
+    rest = family
+    while rest:
+        low = rest & -rest
+        above |= up[low.bit_length() - 1]
+        rest ^= low
+    return family & ~above
 
 
 def _strict_solutions(
-    allowed: list[int], caps: list[int], member_rows: list[list[int]]
-) -> Iterator[dict[int, int]]:
-    """Assignments l_S >= 0 over allowed with, per row i, sum over its members <= caps[i]."""
-    assignment: dict[int, int] = {}
+    allowed: list[tuple[int, tuple[int, ...]]], caps: tuple[int, ...]
+) -> list[tuple[tuple[int, int], ...]]:
+    """Assignments l_s >= 0 to the (s, rows) of allowed with, per row i, the
+    sum over its members <= caps[i]; each as its nonzero (s, l_s) pairs."""
+    out = []
+    fixed = []
     remaining = list(caps)
 
-    def rec(idx: int) -> Iterator[dict[int, int]]:
+    def rec(idx: int) -> None:
         if idx == len(allowed):
-            yield dict(assignment)
+            out.append(tuple(fixed))
             return
-        s = allowed[idx]
-        rows = member_rows[idx]
-        top = min((remaining[i] for i in rows), default=0)
-        for v in range(top + 1):
-            assignment[s] = v
+        s, rows = allowed[idx]
+        top = min(remaining[i] for i in rows)
+        rec(idx + 1)
+        for v in range(1, top + 1):
             for i in rows:
-                remaining[i] -= v
-            yield from rec(idx + 1)
-            for i in rows:
-                remaining[i] += v
-        del assignment[s]
+                remaining[i] -= 1
+            fixed.append((s, v))
+            rec(idx + 1)
+            fixed.pop()
+        for i in rows:
+            remaining[i] += top
 
-    yield from rec(0)
+    rec(0)
+    return out
 
 
 def general_candidates(
@@ -212,71 +237,66 @@ def general_candidates(
 ) -> frozenset:
     """Orbit candidates generating the dual of a multi-orbit ideal at width n.
 
-    For every s-tuple of proper nonempty order ideals, solve the strict
-    system bounding the column counts on the complement region (supports
-    restricted to the minimal elements of the region's overlap cells), then
-    distribute the remaining n - fixed columns freely over the antichain
-    generating the untouched region.  The union over tuples generates the
-    dual; it is deduplicated but not yet minimal.
+    For every s-tuple of proper nonempty order ideals with nonzero k-sums,
+    solve the strict system bounding the column counts on the complement
+    region (supports restricted to the minimal elements of the region's
+    overlap cells), then distribute the remaining n - fixed columns freely
+    over the antichain generating the untouched region.  The union over
+    tuples generates the dual; it is deduplicated but not yet minimal.
     """
     c = system.c
     _check_enumerable(c, system.m, n, max_c)
-    ideals, bars = _ideal_tables(c)
-    gens = system.generators
-    ksums = [
-        [sum(g.counts.get(t, 0) for t in j) for j in ideals] for g in gens
-    ]
-    all_nonempty = frozenset(range(1, 1 << c))
+    ideals, bars, rank, up = _ideal_tables(c)
+    order = bp.standard_order(c)
+    options = []
+    for g in system.generators:
+        counts = g.counts
+        ksums = [sum(counts.get(t, 0) for t in j) for j in ideals]
+        options.append([(bar, k - 1) for bar, k in zip(bars, ksums) if k])
+    universe = (1 << (1 << c)) - 1
     out: set[TypeVector] = set()
     seen_families: set = set()
-    for tup in product(range(len(ideals)), repeat=len(gens)):
-        caps = []
-        skip = False
-        for gi, ji in enumerate(tup):
-            total = ksums[gi][ji]
-            if total == 0:
-                skip = True
-                break
-            caps.append(total - 1)
-        if skip:
-            continue
-        tup_bars = [bars[ji] for ji in tup]
-        region: set[int] = set()
-        for bar in tup_bars:
-            region.update(bar)
-        cells: dict[frozenset, list[int]] = {}
-        for s in region:
-            key = frozenset(i for i, bar in enumerate(tup_bars) if s in bar)
-            cells.setdefault(key, []).append(s)
-        allowed = sorted(
-            s
-            for members in cells.values()
-            for s in bp.minimal_elements(members)
-        )
-        free_chain = tuple(bp.sort_standard(
-            bp.minimal_elements(all_nonempty - region)
-        ))
-        member_rows = [
-            [i for i, bar in enumerate(tup_bars) if s in bar] for s in allowed
-        ]
-        for solution in _strict_solutions(allowed, caps, member_rows):
-            fixed = tuple(sorted((s, v) for s, v in solution.items() if v))
-            family = (fixed, free_chain)
+    solutions: dict = {}
+    for tup in product(*options):
+        # Split 2^[c] by which complement families hold each mask.  The
+        # cell in none of them is the untouched region; every family holds 0.
+        cells = [(universe, 0)]
+        for i, (bar, _) in enumerate(tup):
+            split = []
+            for members, rows in cells:
+                if members & bar:
+                    split.append((members & bar, rows | 1 << i))
+                if members & ~bar:
+                    split.append((members & ~bar, rows))
+            cells = split
+        # Solutions depend only on the caps and the cells' minimal elements,
+        # packed one 2^c-bit slot per row set.
+        cells = [(_minimal(members, up), rows) for members, rows in cells]
+        caps = tuple(cap for _, cap in tup)
+        key = (sum(minimal << (rows << c) for minimal, rows in cells if rows), caps)
+        if key not in solutions:
+            allowed = sorted(
+                (s, tuple(i for i in range(len(tup)) if rows >> i & 1))
+                for minimal, rows in cells if rows
+                for s in range(1 << c) if minimal >> s & 1
+            )
+            solutions[key] = _strict_solutions(allowed, caps)
+        free = next(minimal for minimal, rows in cells if not rows)
+        for fixed in solutions[key]:
+            family = (fixed, free)
             if family in seen_families:
                 continue
             seen_families.add(family)
-            spent = sum(v for _, v in fixed)
-            free_total = n - spent
+            free_total = n - sum(v for _, v in fixed)
             if free_total < 0:
                 continue
-            base = {s: v for s, v in fixed if s != 0}
-            for combo in _compositions(free_total, len(free_chain), 0):
-                counts = dict(base)
-                for s, v in zip(free_chain, combo):
-                    if v:
-                        counts[s] = v
-                if counts:
-                    out.add(TypeVector.from_counts(c, counts))
+            base = [(s, v) for s, v in fixed if s]
+            chain = [s for s in order if free >> s & 1]
+            for combo in _compositions(free_total, len(chain), 0):
+                items = base + [(s, v) for s, v in zip(chain, combo) if v]
+                if items:
+                    items.sort(key=lambda item: rank[item[0]])
+                    out.add(TypeVector(c, tuple(items)))
     return frozenset(out)
 
 
@@ -298,32 +318,37 @@ def _general_min_gens(
 ) -> tuple[TypeVector, ...]:
     """min_gens by candidate enumeration and pruning, for any number of generators.
 
-    A candidate survives iff no other candidate orbit properly divides it up
-    to symmetry; since the candidate set generates, the survivors are
+    A candidate survives iff no candidate orbit of smaller degree divides it
+    up to symmetry; since the candidate set generates, the survivors are
     exactly the minimal generators.  Distinct orbits of equal degree never
-    divide each other, so only strictly smaller degrees are probed, with a
-    superset-sum prefilter ahead of the full divisibility test.
+    divide each other, and divisibility is transitive, so each candidate is
+    probed only against the survivors of strictly smaller degree, with a
+    weight test and a superset-sum prefilter ahead of the full test.
     """
-    cands = sorted(general_candidates(system, n, max_c=max_c), key=TypeVector.sort_key)
-    sums = {tv: superset_sums(tv) for tv in cands}
-    kept: list[TypeVector] = []
-    for b in cands:
-        vb = sums[b]
+    cands = general_candidates(system, n, max_c=max_c)
+    rank = _ideal_tables(system.c)[2]
+
+    def sort_key(tv: TypeVector):  # TypeVector.sort_key through the rank table
+        vec = [0] * (len(rank) - 1)
+        for m, k in tv.items:
+            vec[rank[m]] = k
+        return tv.degree, tuple(vec)
+
+    kept: list[tuple] = []
+    for b in sorted(cands, key=sort_key):
+        degree, weight, vb = b.degree, b.weight, superset_sums(b)
         dominated = False
-        for a in cands:
-            if a.degree >= b.degree:
+        for da, wa, support, va, a in kept:
+            if da >= degree:
                 break
-            if a.weight > b.weight:
-                continue
-            va = sums[a]
-            if any(va[t] > vb[t] for t in a.support):
+            if wa > weight or any(va[t] > vb[t] for t in support):
                 continue
             if divides_up_to_sym(a, b, n):
                 dominated = True
                 break
         if not dominated:
-            kept.append(b)
-    return tuple(kept)
+            kept.append((degree, weight, tuple(m for m, _ in b.items), vb, b))
+    return tuple(row[-1] for row in kept)
 
 
 def min_degree_gens(

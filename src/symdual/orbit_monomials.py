@@ -72,15 +72,12 @@ class TypeVector:
         return frozenset(m for m, _ in self.items)
 
     def get(self, mask: int) -> int:
-        return dict(self.items).get(mask, 0)
+        return next((k for m, k in self.items if m == mask), 0)
 
     def sort_key(self):
         """Deterministic order: by degree, then counts read in standard subset order."""
         counts = self.counts
-        vec = tuple(
-            counts.get(m, 0) for m in bp.sort_standard(range(1, 1 << self.c))
-        )
-        return (self.degree, vec)
+        return (self.degree, tuple(counts.get(m, 0) for m in bp.standard_order(self.c)))
 
     def __str__(self) -> str:
         body = ", ".join(

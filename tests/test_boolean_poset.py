@@ -110,6 +110,11 @@ class TestStandardOrder:
         assert bp.subset_lex_compare(m(1, 2), m(1, 3)) == 1
         assert bp.subset_lex_compare(m(2, 3), m(1, 3)) == -1
 
+    def test_standard_order_c3(self):
+        assert bp.standard_order(3) == (
+            m(1, 2, 3), m(1, 2), m(1, 3), m(2, 3), m(1), m(2), m(3)
+        )
+
     def test_total_order_c5(self):
         masks = list(range(1 << 5))
         ordered = bp.sort_standard(masks)

@@ -1,4 +1,5 @@
 import random
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,9 @@ def tv(c, counts):
 TRIANGLE = tv(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
 TWO_ORBIT = GeneratorSystem.make(
     3, [tv(3, {(1, 2): 2, (1, 3): 1}), tv(3, {(1, 2): 1, (2, 3): 2})]
+)
+SYSTEM_1234_13 = GeneratorSystem.make(
+    4, [tv(4, {(1, 2): 1, (3, 4): 1}), tv(4, {(1, 3): 1})]
 )
 
 
@@ -186,7 +190,53 @@ class TestMinGensSelection:
             assert set(gens) == set(brute_min_gens_dual(system, n))
 
 
+def relabel(tv_, perm):
+    """The type vector with row i+1 renamed to row perm[i]+1."""
+    return TypeVector.from_counts(tv_.c, {
+        sum(1 << perm[i] for i in range(tv_.c) if m >> i & 1): k for m, k in tv_.items
+    })
+
+
+@st.composite
+def two_generator_systems(draw):
+    c = draw(st.integers(1, 3))
+    counts = st.dictionaries(
+        st.integers(1, (1 << c) - 1), st.integers(1, 2), min_size=1, max_size=3
+    )
+    system = GeneratorSystem.make(
+        c, [TypeVector.from_counts(c, draw(counts)) for _ in range(2)]
+    )
+    n = system.m + draw(st.integers(0, 2))
+    return system, n, draw(st.permutations(range(c)))
+
+
+class TestTwoGeneratorSystems:
+    # The enumeration tables depend on the bit order of the rows, so the
+    # output must follow a relabeling of the rows.
+    @settings(max_examples=120, deadline=timedelta(seconds=5))
+    @given(two_generator_systems())
+    def test_oracle_and_relabeling(self, case):
+        system, n, perm = case
+        gens = min_gens(system, n)
+        assert list(gens) == sorted(gens, key=TypeVector.sort_key)
+        if system.c * n <= 12:
+            assert set(gens) == set(brute_min_gens_dual(system, n))
+        relabeled = GeneratorSystem.make(
+            system.c, [relabel(g, perm) for g in system.generators]
+        )
+        assert set(min_gens(relabeled, n)) == {relabel(g, perm) for g in gens}
+
+
 class TestGeneralCandidates:
+    @pytest.mark.parametrize("n, candidates, survivors", [
+        (6, 1118, 12), (8, 2319, 16), (10, 4100, 20),
+    ])
+    def test_pinned_counts_1234_13(self, n, candidates, survivors):
+        assert len(general_candidates(SYSTEM_1234_13, n)) == candidates
+        gens = _general_min_gens(SYSTEM_1234_13, n)
+        assert len(gens) == survivors
+        assert list(gens) == sorted(gens, key=TypeVector.sort_key)
+
     def test_two_orbit_displayed_generators_present(self):
         cands = general_candidates(TWO_ORBIT, 4)
         pair_masks = [(1, 2), (1, 3), (2, 3)]
