@@ -146,6 +146,15 @@ def standard_order(c: int) -> tuple[int, ...]:
     return tuple(sort_standard(range(1, 1 << c)))
 
 
+@lru_cache(maxsize=None)
+def standard_rank(c: int) -> tuple[int, ...]:
+    """rank[m] = position of the nonempty mask m in standard_order(c) (rank[0] unused)."""
+    rank = [0] * (1 << c)
+    for i, m in enumerate(standard_order(c)):
+        rank[m] = i
+    return tuple(rank)
+
+
 def subset_lex_compare(s: int, t: int) -> int:
     """+1 if S > T in the standard order, -1 if S < T, 0 if equal."""
     if s == t:

@@ -178,18 +178,15 @@ def one_orbit_min_gens(
 
 @lru_cache(maxsize=None)
 def _ideal_tables(c: int):
-    """The proper nonempty ideals, their complement families, each mask's rank
-    in bp.standard_order and each mask's family of proper supersets."""
+    """The proper nonempty ideals, their complement families and each mask's
+    family of proper supersets."""
     full = bp.full_mask(c)
     ideals = bp.proper_nonempty_ideals(c)
     bars = tuple(sum(1 << (full ^ t) for t in j) for j in ideals)
-    rank = [0] * (1 << c)
-    for i, m in enumerate(bp.standard_order(c)):
-        rank[m] = i
     up = tuple(
         sum(1 << t for t in bp.supersets(s, c)) ^ (1 << s) for s in range(1 << c)
     )
-    return ideals, bars, rank, up
+    return ideals, bars, up
 
 
 def _minimal(family: int, up) -> int:
@@ -246,8 +243,8 @@ def general_candidates(
     """
     c = system.c
     _check_enumerable(c, system.m, n, max_c)
-    ideals, bars, rank, up = _ideal_tables(c)
-    order = bp.standard_order(c)
+    ideals, bars, up = _ideal_tables(c)
+    order, rank = bp.standard_order(c), bp.standard_rank(c)
     options = []
     for g in system.generators:
         counts = g.counts
@@ -326,16 +323,8 @@ def _general_min_gens(
     weight test and a superset-sum prefilter ahead of the full test.
     """
     cands = general_candidates(system, n, max_c=max_c)
-    rank = _ideal_tables(system.c)[2]
-
-    def sort_key(tv: TypeVector):  # TypeVector.sort_key through the rank table
-        vec = [0] * (len(rank) - 1)
-        for m, k in tv.items:
-            vec[rank[m]] = k
-        return tv.degree, tuple(vec)
-
     kept: list[tuple] = []
-    for b in sorted(cands, key=sort_key):
+    for b in sorted(cands, key=TypeVector.sort_key):
         degree, weight, vb = b.degree, b.weight, superset_sums(b)
         dominated = False
         for da, wa, support, va, a in kept:

@@ -71,13 +71,13 @@ class TypeVector:
     def support(self) -> frozenset:
         return frozenset(m for m, _ in self.items)
 
-    def get(self, mask: int) -> int:
-        return next((k for m, k in self.items if m == mask), 0)
-
     def sort_key(self):
         """Deterministic order: by degree, then counts read in standard subset order."""
-        counts = self.counts
-        return (self.degree, tuple(counts.get(m, 0) for m in bp.standard_order(self.c)))
+        rank = bp.standard_rank(self.c)
+        vec = [0] * (len(rank) - 1)
+        for m, k in self.items:
+            vec[rank[m]] = k
+        return (self.degree, tuple(vec))
 
     def __str__(self) -> str:
         body = ", ".join(

@@ -114,6 +114,8 @@ class TestStandardOrder:
         assert bp.standard_order(3) == (
             m(1, 2, 3), m(1, 2), m(1, 3), m(2, 3), m(1), m(2), m(3)
         )
+        rank = bp.standard_rank(3)
+        assert [rank[s] for s in bp.standard_order(3)] == list(range(7))
 
     def test_total_order_c5(self):
         masks = list(range(1 << 5))

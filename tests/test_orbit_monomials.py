@@ -81,12 +81,6 @@ class TestDegreeAndWeight:
     def test_full_monomial(self):
         assert tv(3, {(1, 2, 3): 4}).degree == 12
 
-    def test_get(self):
-        a = tv(3, {(2, 3): 1, (1,): 2})
-        assert a.get(bp.mask_of((1,), 3)) == 2
-        assert a.get(bp.mask_of((2, 3), 3)) == 1
-        assert a.get(bp.mask_of((2,), 3)) == 0
-
     def test_sort_key_reads_counts_in_standard_order(self):
         a = tv(3, {(2, 3): 1, (1,): 2})
         assert a.sort_key() == (4, (0, 0, 0, 1, 2, 0, 0))
