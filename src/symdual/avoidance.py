@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
@@ -63,21 +62,6 @@ class FiberCounts:
         return dict(self.fibers)
 
 
-@lru_cache(maxsize=1024)
-def _ideals_generated_in(c: int, gens: frozenset) -> tuple[int, ...]:
-    """Member bitsets of the ideals generated by nonempty antichains of the
-    nonempty masks gens, in bp.proper_nonempty_ideals order.
-
-    Taken by increasing size, a mask is never below an earlier one, so it
-    extends exactly the antichains whose closure misses it.
-    """
-    closures = [frozenset()]
-    for g in sorted(gens, key=int.bit_count):
-        up = bp.upper_closure([g], c)
-        closures += [j | up for j in closures if g not in j]
-    return tuple(sum(1 << t for t in j) for j in sorted(closures[1:], key=bp.ideal_sort_key))
-
-
 def hall_violation(
     c: int, k: Mapping[int, int], r: Mapping[int, int]
 ) -> Optional[frozenset]:
@@ -89,7 +73,7 @@ def hall_violation(
     keeps its k-sum, does not raise its r-sum, and sorts no later.
     """
     ks = [(t, v) for t, v in k.items() if t and v]
-    for members in _ideals_generated_in(c, frozenset(t for t, _ in ks)):
+    for members in bp.ideals_generated_in(c, frozenset(t for t, _ in ks)):
         lhs = sum(v for t, v in ks if members >> t & 1)
         if lhs > sum(v for t, v in r.items() if members >> t & 1):
             return frozenset(t for t in range(1 << c) if members >> t & 1)

@@ -5,6 +5,11 @@ all set algebra is word operations.  Throughout the package an "order ideal"
 is an *upper* set: a family of subsets closed under taking supersets.
 Families are plain frozensets of masks.
 
+Order ideals have one enumerator, ideals_generated_in: the ideals generated
+by the antichains inside a given set of masks, each as a 2^c-bit member
+bitset.  proper_nonempty_ideals is its output for all nonempty masks, as
+frozensets, and nonempty_antichains lists their minimal elements.
+
 Subsets are serialized in JSON as sorted arrays of 1-based integers, e.g.
 [1, 3]; families as arrays of such arrays.
 """
@@ -16,11 +21,6 @@ from typing import Iterable, Iterator
 
 from .config import SUBSET_MAX_C, ideal_enum_cap
 from .errors import CapError, InputError
-
-# Type aliases: families of subset masks.
-OrderIdeal = frozenset
-Antichain = frozenset
-
 
 def check_ambient(c: int) -> None:
     """An ambient size below 1 is malformed input; one above SUBSET_MAX_C hits a cap."""
@@ -162,64 +162,42 @@ def subset_lex_compare(s: int, t: int) -> int:
     return 1 if subset_sort_key(s) < subset_sort_key(t) else -1
 
 
-def check_ideal_cap(c: int, max_c: int | None = None) -> None:
+def check_ideal_cap(c: int) -> None:
     """Refuse an ambient size above the order-ideal enumeration cap."""
     check_ambient(c)
-    cap = ideal_enum_cap(max_c)
+    cap = ideal_enum_cap()
     if c > cap:
         raise CapError(f"order-ideal enumeration capped at c<={cap}, got c={c}")
 
 
-def ideal_sort_key(ideal: frozenset):
-    """Order of proper_nonempty_ideals: by size, then by sorted members."""
-    return (len(ideal), sorted(ideal))
+@lru_cache(maxsize=1024)
+def ideals_generated_in(c: int, gens: frozenset) -> tuple[int, ...]:
+    """Member bitsets of the ideals generated by nonempty antichains of the
+    nonempty masks gens, ordered by size, then by sorted members.
 
-
-def enumerate_order_ideals(c: int, max_c: int | None = None) -> Iterator[frozenset]:
-    """Yield every upper order ideal of 2^[c] exactly once, incl. {} and 2^[c].
-
-    Depth-first extension over the standard order: a subset may enter the
-    ideal only once all its covers are in, so each up-set appears once.
+    Taken by increasing size, a mask is never below an earlier one, so it
+    extends exactly the antichains whose closure misses it.
     """
-    check_ideal_cap(c, max_c)
-    order = sort_standard(range(1 << c))
-    parents = {
-        s: [s | (1 << b) for b in range(c) if not s >> b & 1] for s in order
-    }
-    chosen: set[int] = set()
-
-    def rec(idx: int) -> Iterator[frozenset]:
-        if idx == len(order):
-            yield frozenset(chosen)
-            return
-        s = order[idx]
-        yield from rec(idx + 1)
-        if all(p in chosen for p in parents[s]):
-            chosen.add(s)
-            yield from rec(idx + 1)
-            chosen.discard(s)
-
-    yield from rec(0)
-
-
-def enumerate_antichains(c: int, max_c: int | None = None) -> Iterator[frozenset]:
-    """Yield every antichain of 2^[c]; bijective with enumerate_order_ideals."""
-    for ideal in enumerate_order_ideals(c, max_c):
-        yield minimal_elements(ideal)
+    closures = [frozenset()]
+    for g in sorted(gens, key=int.bit_count):
+        up = upper_closure([g], c)
+        closures += [j | up for j in closures if g not in j]
+    closures = sorted(closures[1:], key=lambda j: (len(j), sorted(j)))
+    return tuple(sum(1 << t for t in j) for j in closures)
 
 
 @lru_cache(maxsize=None)
 def proper_nonempty_ideals(c: int) -> tuple[frozenset, ...]:
-    """All order ideals J with {} != J != 2^[c], in a deterministic order.
+    """All order ideals J with {} != J != 2^[c], in ideals_generated_in order.
 
-    Such ideals never contain the empty subset, so their members are
-    nonempty masks.
+    They are the ideals generated by the nonempty antichains of nonempty
+    masks, so their members are nonempty masks.
     """
-    ideals = [
-        j for j in enumerate_order_ideals(c) if 0 < len(j) < (1 << c)
-    ]
-    ideals.sort(key=ideal_sort_key)
-    return tuple(ideals)
+    check_ideal_cap(c)
+    return tuple(
+        frozenset(t for t in range(1 << c) if members >> t & 1)
+        for members in ideals_generated_in(c, frozenset(range(1, 1 << c)))
+    )
 
 
 @lru_cache(maxsize=None)

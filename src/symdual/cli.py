@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", help="width n or inclusive range like 4..9")
     parser.add_argument("--j", type=int, help="face dimension j")
     parser.add_argument("--max-degree", type=int, help="fit degree bound override")
-    parser.add_argument("--max-c", type=int, help="order-ideal enumeration cap override")
+    parser.add_argument("--max-c", type=int, help="ideal-tuple enumeration cap override")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     return parser
@@ -79,6 +79,14 @@ def parse_range(text: str | None, required: bool = True) -> list[int]:
         return [int(text)]
     except ValueError as exc:
         raise InputError(f"bad n value {text!r}") from exc
+
+
+def parse_width(args) -> int:
+    """The one width --n of a command that takes no range."""
+    ns = parse_range(args.n)
+    if len(ns) != 1:
+        raise InputError(f"{args.command} takes a single width --n, got {args.n!r}")
+    return ns[0]
 
 
 def load_document(args) -> dict:
@@ -110,7 +118,7 @@ def _orbit_record(tv) -> dict:
 
 def cmd_dual_gens(args) -> dict:
     system = generator_system_from_json(load_document(args))
-    (n,) = parse_range(args.n)
+    n = parse_width(args)
     gens = dual_core.min_gens(system, n, max_c=args.max_c)
     return {
         "command": "dual-gens",
@@ -198,7 +206,7 @@ def cmd_faces(args) -> dict:
 
 def cmd_facets(args) -> dict:
     system = generator_system_from_json(load_document(args))
-    (n,) = parse_range(args.n)
+    n = parse_width(args)
     hist = counting.facet_orbits_by_dimension(system, n, max_c=args.max_c)
     return {
         "command": "facets",

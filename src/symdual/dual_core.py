@@ -128,9 +128,7 @@ def one_orbit_min_gens(
     """
     c = a.c
     _check_enumerable(c, a.weight, n, max_c)
-    antichains = [
-        ac for ac in bp.nonempty_antichains(c) if 0 not in ac
-    ]
+    antichains = bp.nonempty_antichains(c)
     k_of = {ac: k_of_antichain(a, ac) for ac in antichains}
     eligible = [ac for ac in antichains if k_of[ac] >= 1]
     out: list[TypeVector] = []
@@ -165,9 +163,7 @@ def one_orbit_min_gens(
                     for cut, bound in cuts.items()]
         for combo in _compositions(target, len(members), 1):
             if all(sum(combo[i] for i in idx) > bound for idx, bound in cut_list):
-                out.append(
-                    TypeVector.from_counts(c, dict(zip(members, combo)))
-                )
+                out.append(TypeVector(c, tuple(zip(members, combo))))
     out.sort(key=TypeVector.sort_key)
     return tuple(out)
 

@@ -7,6 +7,11 @@ over T in U.  Its integer points decompose into finitely many disjoint
 bounded below.  Counting the points of a fixed coordinate sum n is then a
 stars-and-bars sum per orthant.
 
+Sets of coordinates are bitmasks throughout, coordinate i <-> bit i-1, as
+subsets are in boolean_poset; only an Orthant names its coordinates by
+1-based id.  cone_decompose has one path: the coordinates under an upper
+bound are enumerated within their bounds, and the others split recursively.
+
 Missing lower keys mean "no constraint", except that every coordinate must
 carry its singleton bound: without one the polyhedron is unbounded below in
 that coordinate and has no finite orthant decomposition.
@@ -37,8 +42,8 @@ class SumPolyhedron:
     def from_maps(
         cls,
         k: int,
-        lower: Mapping[frozenset | tuple | int, int],
-        upper: Mapping[frozenset | tuple | int, int] | None = None,
+        lower: Mapping[Iterable[int] | int, int],
+        upper: Mapping[Iterable[int] | int, int] | None = None,
     ) -> "SumPolyhedron":
         bp.check_ambient(k)
         low = {}
@@ -52,14 +57,6 @@ class SumPolyhedron:
                 raise InputError("upper bounds need a nonempty coordinate set")
             up[mask] = min(up.get(mask, bound), bound)
         return cls(k, tuple(sorted(low.items())), tuple(sorted(up.items())))
-
-    @property
-    def lower_map(self) -> dict[int, int]:
-        return dict(self.lower)
-
-    @property
-    def upper_map(self) -> dict[int, int]:
-        return dict(self.upper)
 
     def contains(self, point: Sequence[int]) -> bool:
         if len(point) != self.k:
@@ -127,118 +124,93 @@ def _require_singleton_bounds(lower: Mapping[int, int], coords: Iterable[int]) -
             )
 
 
-def _split_free(coords: tuple[int, ...], lower: dict[frozenset, int]):
+def _bit_sum(values: Mapping[int, int], mask: int) -> int:
+    """Sum of values[b] over the single-bit masks b of mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += values[low]
+        mask ^= low
+    return total
+
+
+def _split_free(coords: int, lower: dict[int, int]):
     """Decompose {sum_{i in T} x_i >= a_T over coords} into disjoint orthants.
 
-    Splits on the last coordinate: above the threshold where every coupled
-    constraint is implied by the singleton bounds, the coordinate detaches
-    as a plain x_j >= theta factor; each integer level below the threshold
-    restricts to a lower-dimensional polyhedron of the same class.
-    Constraints are keyed by frozensets of original coordinate ids.
+    coords is a coordinate mask, and the constraints are keyed by masks
+    inside it.  Splits on the highest coordinate: above the threshold where
+    every coupled constraint is implied by the singleton bounds, the
+    coordinate detaches as a plain x_j >= theta factor; each integer level
+    below the threshold restricts to a lower-dimensional polyhedron of the
+    same class.
     """
     if not coords:
         return [({}, {})]
-    j = coords[-1]
-    rest = coords[:-1]
-    a_j = lower[frozenset({j})]
-    theta = a_j
-    for key, bound in lower.items():
-        if j in key and len(key) >= 2:
-            slack = bound - sum(lower[frozenset({i})] for i in key - {j})
-            theta = max(theta, slack)
-    tail = {key: bound for key, bound in lower.items() if j not in key}
-    out = []
-    for fixed, bounded in _split_free(rest, tail):
-        out.append((fixed, {**bounded, j: theta}))
+    j = coords.bit_length()
+    bit = 1 << (j - 1)
+    rest = coords ^ bit
+    a_j = lower[bit]
+    coupled = [(key ^ bit, bound) for key, bound in lower.items() if key & bit and key != bit]
+    theta = max([a_j] + [bound - _bit_sum(lower, key) for key, bound in coupled])
+    tail = {key: bound for key, bound in lower.items() if not key & bit}
+    out = [(fixed, {**bounded, j: theta}) for fixed, bounded in _split_free(rest, tail)]
     for level in range(a_j, theta):
         sliced = dict(tail)
-        for key, bound in lower.items():
-            if j in key and len(key) >= 2:
-                reduced = key - {j}
-                cut = bound - level
-                if reduced in sliced:
-                    sliced[reduced] = max(sliced[reduced], cut)
-                else:
-                    sliced[reduced] = cut
-        for fixed, bounded in _split_free(rest, sliced):
-            out.append(({**fixed, j: level}, bounded))
+        for key, bound in coupled:
+            cut = bound - level
+            sliced[key] = max(sliced.get(key, cut), cut)
+        out += [({**fixed, j: level}, bounded) for fixed, bounded in _split_free(rest, sliced)]
     return out
 
 
 def cone_decompose(p: SumPolyhedron, max_k: int = MAX_DIMENSION) -> list[Orthant]:
     """Disjoint orthants whose integer points are exactly those of p.
 
-    Returns the empty list iff p has no integer points.
+    The coordinates under an upper bound are capped.  Each integer witness
+    for them that meets every constraint on them alone is fixed, and the
+    free coordinates split by _split_free under the reduced lower bounds.
+    Without upper bounds the one witness is empty.  Returns the empty list
+    iff p has no integer points.
     """
     if p.k > max_k:
         raise CapError(f"dimension capped at k<={max_k}, got k={p.k}")
-    lower = p.lower_map
-    if lower.get(0, 0) > 0:
+    lower = dict(p.lower)
+    if lower.pop(0, 0) > 0:
         return []
-    lower.pop(0, None)
-    upper = p.upper_map
     _require_singleton_bounds(lower, range(1, p.k + 1))
-    lower_sets = {frozenset(bp.elements(mask)): bound for mask, bound in lower.items()}
-
-    if not upper:
-        return _finish(p.k, _split_free(tuple(range(1, p.k + 1)), lower_sets))
-
-    fixed_coords = sorted(set().union(*[bp.elements(mask) for mask in upper]))
-    free_coords = tuple(j for j in range(1, p.k + 1) if j not in fixed_coords)
-    lows = {j: lower[1 << (j - 1)] for j in fixed_coords}
-    highs = {}
-    for j in fixed_coords:
-        tops = []
-        for mask, bound in upper.items():
-            if mask >> (j - 1) & 1:
-                others = sum(lows[i] for i in bp.elements(mask) if i != j)
-                tops.append(bound - others)
-        highs[j] = min(tops)
-    if any(highs[j] < lows[j] for j in fixed_coords):
-        return []
-    fixed_set = set(fixed_coords)
+    capped = 0
+    for mask, _ in p.upper:
+        capped |= mask
+    free = bp.full_mask(p.k) ^ capped
+    bits = [1 << (j - 1) for j in bp.elements(capped)]
+    ranges = []
+    for bit in bits:
+        high = min(bound - _bit_sum(lower, mask ^ bit) for mask, bound in p.upper if mask & bit)
+        if high < lower[bit]:
+            return []
+        ranges.append(range(lower[bit], high + 1))
     out = []
-    for values in product(*(range(lows[j], highs[j] + 1) for j in fixed_coords)):
-        w = dict(zip(fixed_coords, values))
-        if not _witness_ok(w, lower_sets, upper, fixed_set):
+    for values in product(*ranges):
+        w = dict(zip(bits, values))
+        if any(_bit_sum(w, mask) > bound for mask, bound in p.upper) or any(
+            not key & free and _bit_sum(w, key) < bound for key, bound in lower.items()
+        ):
             continue
-        reduced: dict[frozenset, int] = {}
-        for key, bound in lower_sets.items():
-            inside = key & fixed_set
-            outside = key - fixed_set
-            if not outside:
-                continue
-            cut = bound - sum(w[i] for i in inside)
-            if outside in reduced:
-                reduced[outside] = max(reduced[outside], cut)
-            else:
-                reduced[outside] = cut
-        for fixed, bounded in _split_free(free_coords, reduced):
+        reduced: dict[int, int] = {}
+        for key, bound in lower.items():
+            if key & free:
+                cut = bound - _bit_sum(w, key & capped)
+                reduced[key & free] = max(reduced.get(key & free, cut), cut)
+        witness = [(bit.bit_length(), v) for bit, v in w.items()]
+        for fixed, bounded in _split_free(free, reduced):
             out.append(
                 Orthant(
                     p.k,
-                    tuple(sorted({**fixed, **w}.items())),
+                    tuple(sorted([*fixed.items(), *witness])),
                     tuple(sorted(bounded.items())),
                 )
             )
     return out
-
-
-def _witness_ok(w, lower_sets, upper, fixed_set) -> bool:
-    for key, bound in lower_sets.items():
-        if key <= fixed_set and sum(w[i] for i in key) < bound:
-            return False
-    for mask, bound in upper.items():
-        if sum(w[i] for i in bp.elements(mask)) > bound:
-            return False
-    return True
-
-
-def _finish(k, pieces) -> list[Orthant]:
-    return [
-        Orthant(k, tuple(sorted(fixed.items())), tuple(sorted(bounded.items())))
-        for fixed, bounded in pieces
-    ]
 
 
 def count_on_slice(orthants: Iterable[Orthant], n: int) -> int:
@@ -265,10 +237,9 @@ def enumerate_slice(
     p: SumPolyhedron, n: int, box_limit: int = 10**6
 ) -> list[tuple[int, ...]]:
     """All integer points of p with coordinate sum n, by direct filtering."""
-    lower = p.lower_map
-    if lower.get(0, 0) > 0:
+    lower = dict(p.lower)
+    if lower.pop(0, 0) > 0:
         return []
-    lower.pop(0, None)
     _require_singleton_bounds(lower, range(1, p.k + 1))
     lows = [lower[1 << j] for j in range(p.k)]
     span = n - sum(lows)

@@ -194,6 +194,14 @@ def test_one_generator_guards(capsys, command, doc, n, code, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["dual-gens", "facets"])
+def test_single_width_command_rejects_a_range(capsys, command):
+    assert main([command, "--json", TRIANGLE, "--n", "3..5"]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command} takes a single width --n, got '3..5'\n"
+    assert captured.out == ""
+
+
 def _count_entry(count):
     return {"c": 2, "generators": [{"counts": [{"support": [1], "count": count}]}]}
 

@@ -1,6 +1,6 @@
 import pytest
 
-from symdual import boolean_poset as bp
+from symdual.avoidance import find_avoiding_permutation
 from symdual.cli import main
 from symdual.config import ENV_MAX_C, ideal_enum_cap, tuple_enum_cap
 from symdual.dual_core import min_gens
@@ -22,7 +22,7 @@ class TestCaps:
         assert ideal_enum_cap() == 3
         assert tuple_enum_cap() == 3
         with pytest.raises(CapError):
-            next(bp.enumerate_order_ideals(4))
+            find_avoiding_permutation([1], [2], 4)
 
     def test_pipeline_cap_and_override(self):
         gen = TypeVector.from_counts(5, {1: 1})

@@ -52,6 +52,35 @@ class TestConeDecompose:
         check_box(EXAMPLE, orthants, pad_low=1, pad_high=11)
         assert count_on_slice(orthants, 5) == 5
 
+    # The cone command prints the orthants in this order, so it is pinned.
+    def test_pinned_order_without_upper_bounds(self):
+        assert [(o.fixed, o.bounded) for o in cone_decompose(EXAMPLE)] == [
+            ((), ((1, 1), (2, 2), (3, 1))),
+            (((2, 1),), ((1, 2), (3, 1))),
+        ]
+
+    def test_pinned_order_with_upper_bounds(self):
+        p = SumPolyhedron.from_maps(
+            4,
+            {(1,): 0, (2,): 0, (3,): 1, (4,): 0, (2, 3): 3, (3, 4): 2, (1, 2, 4): 3},
+            {(1,): 1},
+        )
+        assert [(o.fixed, o.bounded) for o in cone_decompose(p)] == [
+            (((1, 0),), ((2, 0), (3, 3), (4, 3))),
+            (((1, 0), (3, 1)), ((2, 2), (4, 3))),
+            (((1, 0), (3, 2)), ((2, 1), (4, 3))),
+            (((1, 0), (4, 0)), ((2, 3), (3, 2))),
+            (((1, 0), (4, 1)), ((2, 2), (3, 1))),
+            (((1, 0), (4, 2)), ((2, 1), (3, 2))),
+            (((1, 0), (3, 1), (4, 2)), ((2, 2),)),
+            (((1, 1),), ((2, 0), (3, 3), (4, 2))),
+            (((1, 1), (3, 1)), ((2, 2), (4, 2))),
+            (((1, 1), (3, 2)), ((2, 1), (4, 2))),
+            (((1, 1), (4, 0)), ((2, 2), (3, 2))),
+            (((1, 1), (4, 1)), ((2, 1), (3, 2))),
+            (((1, 1), (3, 1), (4, 1)), ((2, 2),)),
+        ]
+
     def test_single_coordinate(self):
         p = SumPolyhedron.from_maps(1, {(1,): -2})
         orthants = cone_decompose(p)
