@@ -9,14 +9,11 @@ scale.
 """
 
 from .avoidance import (
-    FiberCounts,
-    avoidance_feasible,
     brute_force_avoidance,
     find_avoiding_permutation,
     violating_order_ideal,
 )
 from .counting import (
-    CountSeries,
     RationalPolynomial,
     count_series,
     default_degree_bound,
@@ -24,8 +21,7 @@ from .counting import (
     face_orbit_count,
     facet_orbits_by_dimension,
     fit_polynomial,
-    min_degree_series,
-    skeleton_system,
+    min_degree_line,
     type_vectors_of_degree,
 )
 from .dual_core import (
@@ -43,7 +39,6 @@ from .errors import (
     FitError,
     InputError,
     SymdualError,
-    TotalMismatchError,
     VerificationError,
     WidthError,
 )

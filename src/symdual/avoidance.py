@@ -18,48 +18,13 @@ divisibility up to symmetry (dual_core) call it with other right-hand sides.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
 from . import boolean_poset as bp
-from .errors import CapError, InputError, TotalMismatchError
+from .errors import CapError, InputError
 
 BRUTE_MAX_N = 8
-
-
-@dataclass(frozen=True)
-class FiberCounts:
-    """Fiber sizes of a map N -> 2^[c], keyed by subset mask (empty set allowed)."""
-
-    c: int
-    fibers: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_map(cls, c: int, fibers: Mapping[int, int]) -> "FiberCounts":
-        bp.check_ambient(c)
-        full = bp.full_mask(c)
-        cleaned = {}
-        for mask, k in fibers.items():
-            if mask & ~full:
-                raise InputError(f"mask {mask:#x} outside 2^[{c}]")
-            if not isinstance(k, int) or k < 0:
-                raise InputError("fiber counts must be nonnegative integers")
-            if k:
-                cleaned[mask] = cleaned.get(mask, 0) + k
-        return cls(c, tuple(sorted(cleaned.items())))
-
-    @classmethod
-    def from_values(cls, c: int, values: Sequence[int]) -> "FiberCounts":
-        return cls.from_map(c, Counter(values))
-
-    @property
-    def total(self) -> int:
-        return sum(k for _, k in self.fibers)
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return dict(self.fibers)
 
 
 def hall_violation(
@@ -87,20 +52,17 @@ def _violating_ideal(c: int, k: Mapping[int, int], l: Mapping[int, int]):
     return hall_violation(c, k, {full ^ t: v for t, v in l.items()})
 
 
-def avoidance_feasible(k: FiberCounts, l: FiberCounts) -> bool:
-    """True iff the Hall-type inequalities hold for every order ideal."""
-    if k.c != l.c:
-        raise InputError("fiber counts live over different ambient sizes")
-    if k.total != l.total:
-        raise TotalMismatchError(f"totals differ: {k.total} != {l.total}")
-    return _violating_ideal(k.c, k.counts, l.counts) is None
+def violating_order_ideal(
+    f: Sequence[int], g: Sequence[int], c: int
+) -> Optional[frozenset]:
+    """Certificate of infeasibility for find_avoiding_permutation's input, or None.
 
-
-def violating_order_ideal(k: FiberCounts, l: FiberCounts) -> Optional[frozenset]:
-    """Certificate of infeasibility: an order ideal violating the inequality."""
-    if k.total != l.total:
-        raise TotalMismatchError(f"totals differ: {k.total} != {l.total}")
-    return _violating_ideal(k.c, k.counts, l.counts)
+    The first proper nonempty ideal J with more values of f in J than values
+    of g whose complements lie in J.
+    """
+    if len(f) != len(g):
+        raise InputError("f and g must have the same length")
+    return _violating_ideal(c, Counter(f), Counter(g))
 
 
 def _check_witness(f, g, sigma):

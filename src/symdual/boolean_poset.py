@@ -155,13 +155,6 @@ def standard_rank(c: int) -> tuple[int, ...]:
     return tuple(rank)
 
 
-def subset_lex_compare(s: int, t: int) -> int:
-    """+1 if S > T in the standard order, -1 if S < T, 0 if equal."""
-    if s == t:
-        return 0
-    return 1 if subset_sort_key(s) < subset_sort_key(t) else -1
-
-
 def check_ideal_cap(c: int) -> None:
     """Refuse an ambient size above the order-ideal enumeration cap."""
     check_ambient(c)
@@ -231,7 +224,3 @@ def subset_from_json(doc, c: int) -> int:
 
 def family_to_json(family: Iterable[int]) -> list[list[int]]:
     return sorted(subset_to_json(m) for m in family)
-
-
-def family_from_json(doc, c: int) -> frozenset:
-    return frozenset(subset_from_json(s, c) for s in list_from_json(doc, "family"))

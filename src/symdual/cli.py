@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", help="width n or inclusive range like 4..9")
     parser.add_argument("--j", type=int, help="face dimension j")
     parser.add_argument("--max-degree", type=int, help="fit degree bound override")
-    parser.add_argument("--max-c", type=int, help="ideal-tuple enumeration cap override")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     return parser
@@ -92,16 +91,18 @@ def parse_width(args) -> int:
 def load_document(args) -> dict:
     if args.inline is not None and args.input is not None:
         raise InputError("give --input or --json, not both")
-    if args.inline is not None:
-        raw = args.inline
-    elif args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            raw = handle.read()
-    else:
+    if args.inline is None and args.input is None:
         raise InputError("an input document is required (--input PATH or --json STR)")
     try:
+        if args.inline is not None:
+            raw = args.inline
+        else:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                raw = handle.read()
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    # Bad syntax, a file that is not UTF-8 and an integer literal past
+    # Python's digit limit raise ValueError; deep nesting, RecursionError.
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
@@ -119,7 +120,7 @@ def _orbit_record(tv) -> dict:
 def cmd_dual_gens(args) -> dict:
     system = generator_system_from_json(load_document(args))
     n = parse_width(args)
-    gens = dual_core.min_gens(system, n, max_c=args.max_c)
+    gens = dual_core.min_gens(system, n)
     return {
         "command": "dual-gens",
         "system": generator_system_to_json(system),
@@ -132,10 +133,7 @@ def cmd_dual_gens(args) -> dict:
 def cmd_count(args) -> dict:
     system = generator_system_from_json(load_document(args))
     ns = parse_range(args.n)
-    samples = [
-        {"n": n, "count": counting.dual_orbit_count(system, n, max_c=args.max_c)}
-        for n in ns
-    ]
+    samples = [{"n": n, "count": counting.dual_orbit_count(system, n)} for n in ns]
     return {
         "command": "count",
         "system": generator_system_to_json(system),
@@ -146,19 +144,19 @@ def cmd_count(args) -> dict:
 def cmd_fit(args) -> dict:
     system = generator_system_from_json(load_document(args))
     ns = parse_range(args.n)
-    series = counting.count_series(system, ns, max_c=args.max_c)
+    series = counting.count_series(system, ns)
     bound = (
         args.max_degree
         if args.max_degree is not None
         else counting.default_degree_bound(system.c)
     )
-    poly = counting.fit_polynomial(series, bound)
+    poly, stable_from = counting.fit_polynomial(series, bound)
     return {
         "command": "fit",
         "system": generator_system_to_json(system),
-        "samples": [{"n": n, "count": series.samples[n]} for n in series.ns()],
+        "samples": [{"n": n, "count": count} for n, count in series.items()],
         "max_degree": bound,
-        "fit": poly.to_json(stable_from=series.stable_from),
+        "fit": poly.to_json(stable_from),
         "degree": poly.degree,
     }
 
@@ -167,7 +165,7 @@ def cmd_min_degree(args) -> dict:
     system = generator_system_from_json(load_document(args))
     ns = parse_range(args.n)
     if len(ns) == 1:
-        degree, gens = dual_core.min_degree_gens(system, ns[0], max_c=args.max_c)
+        degree, gens = dual_core.min_degree_gens(system, ns[0])
         return {
             "command": "min-degree",
             "system": generator_system_to_json(system),
@@ -176,7 +174,7 @@ def cmd_min_degree(args) -> dict:
             "count": len(gens),
             "orbits": [_orbit_record(tv) for tv in gens],
         }
-    degrees = {n: dual_core.min_degree_gens(system, n, max_c=args.max_c)[0] for n in ns}
+    degrees = {n: dual_core.min_degree_gens(system, n)[0] for n in ns}
     slope, intercept, window = counting.min_degree_line(degrees, system.c)
     return {
         "command": "min-degree",
@@ -207,7 +205,7 @@ def cmd_faces(args) -> dict:
 def cmd_facets(args) -> dict:
     system = generator_system_from_json(load_document(args))
     n = parse_width(args)
-    hist = counting.facet_orbits_by_dimension(system, n, max_c=args.max_c)
+    hist = counting.facet_orbits_by_dimension(system, n)
     return {
         "command": "facets",
         "system": generator_system_to_json(system),
@@ -255,10 +253,7 @@ def cmd_match(args) -> dict:
             "feasible": True,
             "permutation": [j + 1 for j in sigma],
         }
-    ideal = avoidance.violating_order_ideal(
-        avoidance.FiberCounts.from_values(c, f),
-        avoidance.FiberCounts.from_values(c, g),
-    )
+    ideal = avoidance.violating_order_ideal(f, g, c)
     return {
         "command": "match",
         "feasible": False,
@@ -278,7 +273,7 @@ def cmd_verify(args) -> dict:
         "membership_agreements": 0,
     }
     for n in ns:
-        fast = set(dual_core.min_gens(system, n, max_c=args.max_c))
+        fast = set(dual_core.min_gens(system, n))
         brute = set(oracle.brute_min_gens_dual(system, n))
         if fast != brute:
             raise VerificationError(f"minimal generator orbits disagree at n={n}")

@@ -1,9 +1,11 @@
 """Size caps for the enumeration-heavy operations.
 
-The environment variable SYMDUAL_MAX_C overrides the order-ideal enumeration
-cap (and thereby the cap on operations that quantify over tuples of order
-ideals).  When set and nonempty it must be an integer >= 1.  Explicit
-function arguments win over the environment.
+SYMDUAL_MAX_C is the one cap override.  When set and nonempty it must be an
+integer >= 1, and it replaces both the order-ideal enumeration cap and the
+cap on operations that quantify over tuples of order ideals.  Every other
+cap is a constant without an override: SUBSET_MAX_C here, MAX_DIMENSION and
+MAX_ORTHANTS in lattice_geometry, and the brute-force caps of oracle and
+avoidance.
 """
 
 import os
@@ -31,15 +33,11 @@ def _env_cap(default):
     return int(raw)
 
 
-def ideal_enum_cap(override=None):
+def ideal_enum_cap():
     """Cap on c for enumerating all order ideals of 2^[c]."""
-    if override is not None:
-        return override
     return _env_cap(IDEAL_ENUM_MAX_C)
 
 
-def tuple_enum_cap(override=None):
+def tuple_enum_cap():
     """Cap on c for operations quantifying over s-tuples of order ideals."""
-    if override is not None:
-        return override
     return _env_cap(TUPLE_ENUM_MAX_C)

@@ -10,7 +10,7 @@ remaining sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -45,52 +45,30 @@ class RationalPolynomial:
             power *= n
         return total
 
-    def to_json(self, stable_from: int | None = None) -> dict:
-        doc = {"coeffs": [str(coef) for coef in self.coeffs]}
-        if stable_from is not None:
-            doc["stable_from"] = stable_from
-        return doc
-
-    @classmethod
-    def from_json(cls, doc) -> "RationalPolynomial":
-        if not isinstance(doc, dict) or "coeffs" not in doc:
-            raise InputError("polynomial document needs 'coeffs'")
-        return cls.from_coeffs(Fraction(s) for s in doc["coeffs"])
+    def to_json(self, stable_from: int) -> dict:
+        return {"coeffs": [str(coef) for coef in self.coeffs], "stable_from": stable_from}
 
 
-@dataclass
-class CountSeries:
-    """Exact counts at consecutive widths; stable_from marks the polynomial onset."""
-
-    samples: dict[int, int] = field(default_factory=dict)
-    stable_from: int | None = None
-
-    def add(self, n: int, value: int) -> None:
-        self.samples[n] = value
-
-    def ns(self) -> list[int]:
-        return sorted(self.samples)
-
-    def check_consecutive(self) -> None:
-        ns = self.ns()
-        if any(b - a != 1 for a, b in zip(ns, ns[1:])):
-            raise InputError("series samples must sit at consecutive n")
+def _consecutive(samples: Mapping[int, int]) -> list[int]:
+    """The sampled widths, ascending; they must be consecutive integers."""
+    ns = sorted(samples)
+    if any(b - a != 1 for a, b in zip(ns, ns[1:])):
+        raise InputError("samples must sit at consecutive n")
+    return ns
 
 
-def dual_orbit_count(system: GeneratorSystem, n: int, max_c=None) -> int:
+def dual_orbit_count(system: GeneratorSystem, n: int) -> int:
     """Orbits minimally generating the dual at width n.
 
     Equivalently the number of orbit classes of primary components of the
     original ideal at that width.
     """
-    return len(dual_core.min_gens(system, n, max_c=max_c))
+    return len(dual_core.min_gens(system, n))
 
 
-def count_series(system: GeneratorSystem, ns: Sequence[int], max_c=None) -> CountSeries:
-    series = CountSeries()
-    for n in ns:
-        series.add(n, dual_orbit_count(system, n, max_c=max_c))
-    return series
+def count_series(system: GeneratorSystem, ns: Sequence[int]) -> dict[int, int]:
+    """{n: dual_orbit_count(system, n)} over the given widths."""
+    return {n: dual_orbit_count(system, n) for n in ns}
 
 
 def _newton_poly(points: Sequence[tuple[int, int]]) -> RationalPolynomial:
@@ -120,26 +98,28 @@ def _newton_poly(points: Sequence[tuple[int, int]]) -> RationalPolynomial:
     return RationalPolynomial.from_coeffs(coeffs)
 
 
-def fit_polynomial(series: CountSeries, max_degree: int) -> RationalPolynomial:
+def fit_polynomial(
+    samples: Mapping[int, int], max_degree: int
+) -> tuple[RationalPolynomial, int]:
     """Exact fit through the last max_degree + 1 samples, validated backwards.
 
-    Earlier samples must be predicted exactly; the first n from which every
-    prediction holds becomes series.stable_from.  Fails when fewer than
-    max_degree + 2 samples remain in the stable window.
+    samples maps consecutive widths n to counts.  Earlier samples must be
+    predicted exactly; returns the polynomial and the first n from which
+    every prediction holds.  Fails when fewer than max_degree + 2 samples
+    remain in that stable window.
     """
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
-    series.check_consecutive()
-    ns = series.ns()
+    ns = _consecutive(samples)
     if len(ns) < max_degree + 2:
         raise FitError(
             f"need at least {max_degree + 2} consecutive samples, have {len(ns)}"
         )
     tail = ns[-(max_degree + 1):]
-    poly = _newton_poly([(n, series.samples[n]) for n in tail])
+    poly = _newton_poly([(n, samples[n]) for n in tail])
     stable = tail[0]
     for n in reversed(ns[: -(max_degree + 1)]):
-        if poly(n) == series.samples[n]:
+        if poly(n) == samples[n]:
             stable = n
         else:
             break
@@ -147,8 +127,7 @@ def fit_polynomial(series: CountSeries, max_degree: int) -> RationalPolynomial:
         raise FitError(
             "no stable window: the tail polynomial fails on every long enough suffix"
         )
-    series.stable_from = stable
-    return poly
+    return poly, stable
 
 
 def default_degree_bound(c: int) -> int:
@@ -156,27 +135,15 @@ def default_degree_bound(c: int) -> int:
     return math.comb(c, c // 2) - 1
 
 
-def min_degree_series(
-    system: GeneratorSystem, ns: Sequence[int], max_c=None
+def min_degree_line(
+    degrees: Mapping[int, int], c: int
 ) -> tuple[int, int, tuple[int, int]]:
-    """Fit d(n) = a*n + b for the least generator degree on a stable suffix.
+    """Fit d(n) = a*n + b to least generator degrees keyed by consecutive n.
 
     Returns (a, b, (n_first, n_last)) for the longest suffix of the sampled
     range with constant first differences; the slope must land in [0, c].
     """
-    degrees = {
-        n: dual_core.min_degree_gens(system, n, max_c=max_c)[0] for n in ns
-    }
-    return min_degree_line(degrees, system.c)
-
-
-def min_degree_line(
-    degrees: Mapping[int, int], c: int
-) -> tuple[int, int, tuple[int, int]]:
-    """min_degree_series on least degrees already computed, keyed by consecutive n."""
-    ns = sorted(degrees)
-    if any(b - a != 1 for a, b in zip(ns, ns[1:])):
-        raise InputError("min-degree series needs consecutive n")
+    ns = _consecutive(degrees)
     if len(ns) < 3:
         raise FitError("need at least 3 samples to detect a stable slope")
     slope = degrees[ns[-1]] - degrees[ns[-2]]
@@ -193,14 +160,12 @@ def min_degree_line(
     return slope, intercept, (start, ns[-1])
 
 
-def facet_orbits_by_dimension(
-    system: GeneratorSystem, n: int, max_c=None
-) -> dict[int, int]:
+def facet_orbits_by_dimension(system: GeneratorSystem, n: int) -> dict[int, int]:
     """Histogram of dual generator orbits by facet dimension c*n - 1 - degree."""
     if n < system.m:
         raise WidthError(f"width n={n} below the system's stability width {system.m}")
     hist: dict[int, int] = {}
-    for tv in dual_core.min_gens(system, n, max_c=max_c):
+    for tv in dual_core.min_gens(system, n):
         dim = system.c * n - 1 - tv.degree
         hist[dim] = hist.get(dim, 0) + 1
     return hist
@@ -253,17 +218,3 @@ def face_orbit_count(system: GeneratorSystem, j: int, n: int) -> int:
         ):
             count += 1
     return count
-
-
-def skeleton_system(system: GeneratorSystem, j: int) -> GeneratorSystem:
-    """Generators of the j-skeleton's ideal: add every orbit of degree j + 2."""
-    if j < 0:
-        raise InputError("skeleton dimension j must be nonnegative")
-    extra = list(type_vectors_of_degree(system.c, j + 2))
-    seen = set(system.generators)
-    merged = list(system.generators)
-    for tv in sorted(extra, key=TypeVector.sort_key):
-        if tv not in seen:
-            merged.append(tv)
-            seen.add(tv)
-    return GeneratorSystem.make(system.c, merged)

@@ -87,9 +87,9 @@ def superset_sums(tv: TypeVector) -> list[int]:
     return v
 
 
-def _check_enumerable(c: int, m: int, n: int, max_c: int | None) -> None:
+def _check_enumerable(c: int, m: int, n: int) -> None:
     """Guards shared by both minimal-generator paths: the c cap, then width n >= m."""
-    cap = tuple_enum_cap(max_c)
+    cap = tuple_enum_cap()
     if c > cap:
         raise CapError(f"ideal-tuple enumeration capped at c<={cap}, got c={c}")
     if n < m:
@@ -114,9 +114,7 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, .
             yield (first,) + rest
 
 
-def one_orbit_min_gens(
-    a: TypeVector, n: int, max_c: int | None = None
-) -> tuple[TypeVector, ...]:
+def one_orbit_min_gens(a: TypeVector, n: int) -> tuple[TypeVector, ...]:
     """Minimal orbit generators of the dual of a one-orbit ideal at width n.
 
     Per nonempty antichain C with k_C >= 1 the members are the column-count
@@ -127,7 +125,7 @@ def one_orbit_min_gens(
     conditions and can empty a class outright.
     """
     c = a.c
-    _check_enumerable(c, a.weight, n, max_c)
+    _check_enumerable(c, a.weight, n)
     antichains = bp.nonempty_antichains(c)
     k_of = {ac: k_of_antichain(a, ac) for ac in antichains}
     eligible = [ac for ac in antichains if k_of[ac] >= 1]
@@ -225,9 +223,7 @@ def _strict_solutions(
     return out
 
 
-def general_candidates(
-    system: GeneratorSystem, n: int, max_c: int | None = None
-) -> frozenset:
+def general_candidates(system: GeneratorSystem, n: int) -> frozenset:
     """Orbit candidates generating the dual of a multi-orbit ideal at width n.
 
     For every s-tuple of proper nonempty order ideals with nonzero k-sums,
@@ -238,7 +234,7 @@ def general_candidates(
     tuples generates the dual; it is deduplicated but not yet minimal.
     """
     c = system.c
-    _check_enumerable(c, system.m, n, max_c)
+    _check_enumerable(c, system.m, n)
     ideals, bars, up = _ideal_tables(c)
     order, rank = bp.standard_order(c), bp.standard_rank(c)
     options = []
@@ -293,22 +289,18 @@ def general_candidates(
     return frozenset(out)
 
 
-def min_gens(
-    system: GeneratorSystem, n: int, max_c: int | None = None
-) -> tuple[TypeVector, ...]:
+def min_gens(system: GeneratorSystem, n: int) -> tuple[TypeVector, ...]:
     """The minimal orbit generating set of the dual at width n, sorted.
 
     One generator takes the closed form of one_orbit_min_gens; two or more
     take the ideal-tuple enumeration of _general_min_gens.
     """
     if len(system.generators) == 1:
-        return one_orbit_min_gens(system.generators[0], n, max_c=max_c)
-    return _general_min_gens(system, n, max_c=max_c)
+        return one_orbit_min_gens(system.generators[0], n)
+    return _general_min_gens(system, n)
 
 
-def _general_min_gens(
-    system: GeneratorSystem, n: int, max_c: int | None = None
-) -> tuple[TypeVector, ...]:
+def _general_min_gens(system: GeneratorSystem, n: int) -> tuple[TypeVector, ...]:
     """min_gens by candidate enumeration and pruning, for any number of generators.
 
     A candidate survives iff no candidate orbit of smaller degree divides it
@@ -318,7 +310,7 @@ def _general_min_gens(
     probed only against the survivors of strictly smaller degree, with a
     weight test and a superset-sum prefilter ahead of the full test.
     """
-    cands = general_candidates(system, n, max_c=max_c)
+    cands = general_candidates(system, n)
     kept: list[tuple] = []
     for b in sorted(cands, key=TypeVector.sort_key):
         degree, weight, vb = b.degree, b.weight, superset_sums(b)
@@ -337,9 +329,9 @@ def _general_min_gens(
 
 
 def min_degree_gens(
-    system: GeneratorSystem, n: int, max_c: int | None = None
+    system: GeneratorSystem, n: int
 ) -> tuple[int, tuple[TypeVector, ...]]:
     """Least generator degree of the dual at width n, with the orbits attaining it."""
-    gens = min_gens(system, n, max_c=max_c)
+    gens = min_gens(system, n)
     d = min(tv.degree for tv in gens)
     return d, tuple(tv for tv in gens if tv.degree == d)

@@ -13,10 +13,6 @@ class WidthError(InputError):
     """Ambient width n is too small for the data it must accommodate."""
 
 
-class TotalMismatchError(InputError):
-    """Paired fiber counts must have equal totals."""
-
-
 class CapError(SymdualError):
     """An enumeration guard (ambient size, instance size, box size) was exceeded."""
 

@@ -28,6 +28,7 @@ from . import boolean_poset as bp
 from .errors import CapError, InputError
 
 MAX_DIMENSION = 8
+MAX_ORTHANTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,11 @@ def _bit_sum(values: Mapping[int, int], mask: int) -> int:
     return total
 
 
+def _check_orthants(count: int) -> None:
+    if count > MAX_ORTHANTS:
+        raise CapError(f"orthant decomposition capped at {MAX_ORTHANTS} orthants")
+
+
 def _split_free(coords: int, lower: dict[int, int]):
     """Decompose {sum_{i in T} x_i >= a_T over coords} into disjoint orthants.
 
@@ -142,7 +148,8 @@ def _split_free(coords: int, lower: dict[int, int]):
     every coupled constraint is implied by the singleton bounds, the
     coordinate detaches as a plain x_j >= theta factor; each integer level
     below the threshold restricts to a lower-dimensional polyhedron of the
-    same class.
+    same class.  Every level adds at least one orthant, so the level count
+    is held to MAX_ORTHANTS before the levels are walked.
     """
     if not coords:
         return [({}, {})]
@@ -153,6 +160,7 @@ def _split_free(coords: int, lower: dict[int, int]):
     coupled = [(key ^ bit, bound) for key, bound in lower.items() if key & bit and key != bit]
     theta = max([a_j] + [bound - _bit_sum(lower, key) for key, bound in coupled])
     tail = {key: bound for key, bound in lower.items() if not key & bit}
+    _check_orthants(theta - a_j + 1)
     out = [(fixed, {**bounded, j: theta}) for fixed, bounded in _split_free(rest, tail)]
     for level in range(a_j, theta):
         sliced = dict(tail)
@@ -160,20 +168,23 @@ def _split_free(coords: int, lower: dict[int, int]):
             cut = bound - level
             sliced[key] = max(sliced.get(key, cut), cut)
         out += [({**fixed, j: level}, bounded) for fixed, bounded in _split_free(rest, sliced)]
+        _check_orthants(len(out))
     return out
 
 
-def cone_decompose(p: SumPolyhedron, max_k: int = MAX_DIMENSION) -> list[Orthant]:
+def cone_decompose(p: SumPolyhedron) -> list[Orthant]:
     """Disjoint orthants whose integer points are exactly those of p.
 
     The coordinates under an upper bound are capped.  Each integer witness
     for them that meets every constraint on them alone is fixed, and the
     free coordinates split by _split_free under the reduced lower bounds.
     Without upper bounds the one witness is empty.  Returns the empty list
-    iff p has no integer points.
+    iff p has no integer points.  Raises CapError past MAX_DIMENSION, when
+    the witness box holds more than MAX_ORTHANTS points, or as soon as the
+    orthants exceed MAX_ORTHANTS.
     """
-    if p.k > max_k:
-        raise CapError(f"dimension capped at k<={max_k}, got k={p.k}")
+    if p.k > MAX_DIMENSION:
+        raise CapError(f"dimension capped at k<={MAX_DIMENSION}, got k={p.k}")
     lower = dict(p.lower)
     if lower.pop(0, 0) > 0:
         return []
@@ -189,6 +200,9 @@ def cone_decompose(p: SumPolyhedron, max_k: int = MAX_DIMENSION) -> list[Orthant
         if high < lower[bit]:
             return []
         ranges.append(range(lower[bit], high + 1))
+    box = math.prod(map(len, ranges))
+    if box > MAX_ORTHANTS:
+        raise CapError(f"witness box of {box} points exceeds the cap of {MAX_ORTHANTS}")
     out = []
     for values in product(*ranges):
         w = dict(zip(bits, values))
@@ -210,6 +224,7 @@ def cone_decompose(p: SumPolyhedron, max_k: int = MAX_DIMENSION) -> list[Orthant
                     tuple(sorted(bounded.items())),
                 )
             )
+        _check_orthants(len(out))
     return out
 
 

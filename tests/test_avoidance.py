@@ -5,14 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from symdual import boolean_poset as bp
 from symdual.avoidance import (
-    FiberCounts,
-    avoidance_feasible,
     brute_force_avoidance,
     find_avoiding_permutation,
     hall_violation,
     violating_order_ideal,
 )
-from symdual.errors import CapError, TotalMismatchError
+from symdual.errors import CapError, InputError
 
 
 def m(*indices, c=3):
@@ -29,37 +27,27 @@ def random_instance(rng, max_n=6, max_c=3):
 
 class TestFeasibility:
     def test_disjoint_supports(self):
-        k = FiberCounts.from_values(2, [m(1, c=2)])
-        l = FiberCounts.from_values(2, [m(2, c=2)])
-        assert avoidance_feasible(k, l)
+        assert violating_order_ideal([m(1, c=2)], [m(2, c=2)], 2) is None
 
     def test_forced_collision(self):
-        k = FiberCounts.from_values(1, [1])
-        l = FiberCounts.from_values(1, [1])
-        assert not avoidance_feasible(k, l)
+        assert violating_order_ideal([1], [1], 1) is not None
 
     def test_dual_member_is_infeasible(self):
         # triangle generator vs a two-block column pattern at width 4
         f = [m(1, 2), m(1, 3), m(2, 3), 0]
         g = [m(2), m(2), m(3), m(3)]
-        k = FiberCounts.from_values(3, f)
-        l = FiberCounts.from_values(3, g)
-        assert not avoidance_feasible(k, l)
+        assert violating_order_ideal(f, g, 3) is not None
 
     def test_total_mismatch(self):
-        with pytest.raises(TotalMismatchError):
-            avoidance_feasible(
-                FiberCounts.from_values(2, [1]), FiberCounts.from_values(2, [1, 2])
-            )
+        with pytest.raises(InputError):
+            violating_order_ideal([1], [1, 2], 2)
 
     def test_certificate_soundness(self):
         rng = random.Random(3)
         found = 0
         for _ in range(500):
             c, f, g = random_instance(rng)
-            k = FiberCounts.from_values(c, f)
-            l = FiberCounts.from_values(c, g)
-            ideal = violating_order_ideal(k, l)
+            ideal = violating_order_ideal(f, g, c)
             if ideal is None:
                 continue
             found += 1
@@ -96,9 +84,9 @@ class TestConstructivePermutation:
         rng = random.Random(59)
         for _ in range(800):
             c, f, g = random_instance(rng)
-            k = FiberCounts.from_values(c, f)
-            l = FiberCounts.from_values(c, g)
-            assert avoidance_feasible(k, l) == avoidance_feasible(l, k)
+            assert (violating_order_ideal(f, g, c) is None) == (
+                violating_order_ideal(g, f, c) is None
+            )
 
 
 class TestBruteForce:
@@ -132,3 +120,38 @@ class TestHallKernel:
     def test_restricted_scan_finds_the_first_violator(self, case):
         c, k, r = case
         assert hall_violation(c, k, r) == full_scan_violation(c, k, r)
+
+
+@st.composite
+def large_instances(draw):
+    """Instances at c <= 4 and N <= 60; half are built feasible from a hidden
+    disjoint matching, half draw g freely."""
+    c = draw(st.integers(1, 4))
+    full = bp.full_mask(c)
+    size = draw(st.integers(1, 60))
+    f = draw(st.lists(st.integers(0, full), min_size=size, max_size=size))
+    planted = draw(st.booleans())
+    if planted:
+        g = [draw(st.integers(0, full)) & ~t for t in f]
+        g = draw(st.permutations(g))
+    else:
+        g = draw(st.lists(st.integers(0, full), min_size=size, max_size=size))
+    return c, f, g, planted
+
+
+class TestLargeInstances:
+    @settings(max_examples=150, deadline=None)
+    @given(large_instances())
+    def test_witness_or_certificate(self, case):
+        c, f, g, planted = case
+        sigma = find_avoiding_permutation(f, g, c)
+        if sigma is not None:
+            assert sorted(sigma) == list(range(len(f)))
+            assert all(f[i] & g[sigma[i]] == 0 for i in range(len(f)))
+            return
+        assert not planted
+        ideal = violating_order_ideal(f, g, c)
+        assert ideal is not None and bp.is_order_ideal(ideal, c)
+        lhs = sum(1 for v in f if v in ideal)
+        rhs = sum(1 for v in g if bp.complement(v, c) in ideal)
+        assert lhs > rhs

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -88,9 +89,9 @@ class TestMinDegree:
         widths = []
         original = dual_core.min_gens
 
-        def counted(system, n, max_c=None):
+        def counted(system, n):
             widths.append(n)
-            return original(system, n, max_c=max_c)
+            return original(system, n)
 
         monkeypatch.setattr(dual_core, "min_gens", counted)
         doc = run_json(capsys, "min-degree", "--json", EDGE, "--n", "2..7")
@@ -239,6 +240,38 @@ def test_malformed_document_is_a_one_line_schema_error(capsys, command, doc):
     assert code == EXIT_SCHEMA
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("option,raw", [
+    ("--input", b'{"c": 2, "generators": \xff}'),
+    ("--json", "[" * 100_000 + "]" * 100_000),
+    ("--json", '{"c": ' + "7" * 5000 + "}"),
+], ids=["not-utf8", "deep-nesting", "long-integer"])
+def test_unreadable_document_is_a_one_line_schema_error(capsys, tmp_path, option, raw):
+    if option == "--input":
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        raw = str(path)
+    code = main(["count", option, raw, "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("doc", [
+    _cone(upper=[{"support": [1], "bound": 10**8}, {"support": [2], "bound": 10**8}]),
+    _cone(lower=[{"support": [1], "bound": 0}, {"support": [2], "bound": 0},
+                 {"support": [1, 2], "bound": 10**8}]),
+], ids=["witness-box", "split-levels"])
+def test_cone_work_is_capped(capsys, doc):
+    start = time.perf_counter()
+    code = main(["cone", "--json", json.dumps(doc)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 class TestTableFormat:

@@ -13,10 +13,6 @@ class TestCaps:
         assert ideal_enum_cap() == 6
         assert tuple_enum_cap() == 4
 
-    def test_argument_override(self):
-        assert ideal_enum_cap(8) == 8
-        assert tuple_enum_cap(2) == 2
-
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ENV_MAX_C, "3")
         assert ideal_enum_cap() == 3
@@ -24,13 +20,14 @@ class TestCaps:
         with pytest.raises(CapError):
             find_avoiding_permutation([1], [2], 4)
 
-    def test_pipeline_cap_and_override(self):
+    def test_pipeline_cap_and_override(self, monkeypatch):
         gen = TypeVector.from_counts(5, {1: 1})
         system = GeneratorSystem.make(5, [gen])
         with pytest.raises(CapError):
             min_gens(system, 2)
-        # explicit override admits the larger ambient size
-        assert len(min_gens(system, 2, max_c=5)) >= 1
+        # the environment override admits the larger ambient size
+        monkeypatch.setenv(ENV_MAX_C, "5")
+        assert len(min_gens(system, 2)) >= 1
 
     @pytest.mark.parametrize("raw", ["abc", "4.5", "0", "-2"])
     def test_env_value_must_be_a_positive_integer(self, monkeypatch, raw):

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdual import boolean_poset as bp
 from symdual.counting import (
-    CountSeries,
     RationalPolynomial,
     count_series,
     default_degree_bound,
@@ -12,10 +12,10 @@ from symdual.counting import (
     face_orbit_count,
     facet_orbits_by_dimension,
     fit_polynomial,
-    min_degree_series,
-    skeleton_system,
+    min_degree_line,
     type_vectors_of_degree,
 )
+from symdual.dual_core import min_degree_gens
 from symdual.errors import FitError, WidthError
 from symdual.oracle import brute_f_vector
 from symdual.orbit_monomials import GeneratorSystem, TypeVector
@@ -47,39 +47,71 @@ class TestDualOrbitCount:
 class TestFitPolynomial:
     def test_triangle_closed_form(self):
         series = count_series(TRIANGLE_SYS, range(4, 10))
-        poly = fit_polynomial(series, default_degree_bound(3))
+        assert series == {4: 15, 5: 25, 6: 36, 7: 48, 8: 61, 9: 75}
+        poly, stable_from = fit_polynomial(series, default_degree_bound(3))
         assert poly.coeffs == (Fraction(-15), Fraction(11, 2), Fraction(1, 2))
-        assert series.stable_from == 4
+        assert stable_from == 4
 
     def test_constant_series(self):
-        series = CountSeries({5: 7, 6: 7, 7: 7, 8: 7})
-        poly = fit_polynomial(series, 1)
+        poly, _ = fit_polynomial({5: 7, 6: 7, 7: 7, 8: 7}, 1)
         assert poly.coeffs == (Fraction(7),)
         assert poly.degree == 0
 
     def test_mixed_system_linear(self):
         series = count_series(MIXED_SYS, range(3, 8))
-        poly = fit_polynomial(series, default_degree_bound(3))
+        poly, _ = fit_polynomial(series, default_degree_bound(3))
         assert poly.coeffs == (Fraction(1), Fraction(1))
 
     def test_insufficient_samples(self):
         with pytest.raises(FitError):
-            fit_polynomial(CountSeries({3: 1, 4: 2}), 2)
+            fit_polynomial({3: 1, 4: 2}, 2)
 
     def test_no_stable_window(self):
-        series = CountSeries({1: 1, 2: 5, 3: 2, 4: 100})
         with pytest.raises(FitError):
-            fit_polynomial(series, 0)
+            fit_polynomial({1: 1, 2: 5, 3: 2, 4: 100}, 0)
 
     def test_nonconsecutive_rejected(self):
         with pytest.raises(Exception):
-            fit_polynomial(CountSeries({1: 1, 3: 3, 4: 4}), 1)
+            fit_polynomial({1: 1, 3: 3, 4: 4}, 1)
 
     def test_json_round_trip(self):
         poly = RationalPolynomial.from_coeffs([Fraction(-15), Fraction(11, 2), Fraction(1, 2)])
         doc = poly.to_json(stable_from=4)
         assert doc == {"coeffs": ["-15", "11/2", "1/2"], "stable_from": 4}
-        assert RationalPolynomial.from_json(doc) == poly
+        assert RationalPolynomial.from_coeffs(Fraction(s) for s in doc["coeffs"]) == poly
+
+
+def min_degree_series(system, ns):
+    return min_degree_line({n: min_degree_gens(system, n)[0] for n in ns}, system.c)
+
+
+@st.composite
+def polynomial_samples(draw):
+    """Integer coefficients of degree <= 3, the first stable width, the number
+    of stable samples and nonzero perturbations of a prefix before it."""
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    start = draw(st.integers(-5, 10))
+    length = draw(st.integers(5, 9))
+    prefix = draw(st.lists(st.integers(-3, 3).filter(bool), max_size=3))
+    return coeffs, start, length, prefix
+
+
+class TestFitProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(polynomial_samples())
+    def test_recovers_polynomial_and_onset(self, case):
+        coeffs, start, length, prefix = case
+        expected = RationalPolynomial.from_coeffs(coeffs)
+        samples = {n: int(expected(n)) for n in range(start, start + length)}
+        for i, delta in enumerate(prefix, 1):
+            samples[start - i] = int(expected(start - i)) + delta
+        before = dict(samples)
+        poly, stable_from = fit_polynomial(samples, 3)
+        assert poly == expected
+        assert stable_from == start
+        last = start + length - 1
+        assert poly(last + 1) == expected(last + 1) and poly(last + 2) == expected(last + 2)
+        assert samples == before
 
 
 class TestMinDegreeSeries:
@@ -135,7 +167,6 @@ class TestFacetEventualConstancy:
 
 class TestMinDegreeConsistency:
     def test_class_size_matches_histogram_top(self):
-        from symdual.dual_core import min_degree_gens
         for system, n in ((TWO_ORBIT, 5), (TRIANGLE_SYS, 5), (EDGE_SYS, 6)):
             degree, gens = min_degree_gens(system, n)
             hist = facet_orbits_by_dimension(system, n)
@@ -173,29 +204,3 @@ class TestTypeVectorsOfDegree:
     def test_weight_cap(self):
         capped = set(type_vectors_of_degree(2, 2, max_weight=1))
         assert capped == {tv(2, {(1, 2): 1})}
-
-
-class TestSkeletonSystem:
-    def test_c1_adds_square(self):
-        sys_ = GeneratorSystem.make(1, [tv(1, {(1,): 3})])
-        skel = skeleton_system(sys_, 0)
-        assert tv(1, {(1,): 2}) in skel.generators
-
-    def test_c2_adds_degree_two_orbits(self):
-        skel = skeleton_system(EDGE_SYS, 0)
-        added = set(skel.generators) - set(EDGE_SYS.generators)
-        assert added == {tv(2, {(1,): 2}), tv(2, {(2,): 2}), tv(2, {(1,): 1, (2,): 1})}
-
-    def test_skeleton_faces_match(self):
-        # faces of the j-skeleton agree with the original complex up to dim j
-        skel = skeleton_system(EDGE_SYS, 1)
-        for n in (3, 4):
-            for j in (0, 1):
-                assert face_orbit_count(skel, j, n) == face_orbit_count(EDGE_SYS, j, n)
-            assert face_orbit_count(skel, 2, n) == 0
-
-    def test_skeleton_facets_vs_oracle(self):
-        skel = skeleton_system(EDGE_SYS, 0)
-        brute = brute_f_vector(skel, 3)
-        assert brute.get(1, 0) == 0
-        assert brute.get(0, 0) == face_orbit_count(EDGE_SYS, 0, 3)

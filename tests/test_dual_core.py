@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdual import boolean_poset as bp
-from symdual.avoidance import FiberCounts, avoidance_feasible
+from symdual.avoidance import violating_order_ideal
 from symdual.dual_core import (
     _general_min_gens,
     divides_up_to_sym,
@@ -18,7 +18,7 @@ from symdual.dual_core import (
     one_orbit_min_gens,
 )
 from symdual.errors import WidthError
-from symdual.oracle import brute_divides, brute_min_gens_dual
+from symdual.oracle import brute_divides, brute_min_gens_dual, standard_columns
 from symdual.orbit_monomials import GeneratorSystem, TypeVector
 
 
@@ -85,9 +85,8 @@ class TestInDualSingle:
             a = random_tv(rng, c, 3)
             b = random_tv(rng, c, 4, nonzero=False)
             n = max(a.weight, b.weight, 1) + rng.randint(0, 2)
-            k = FiberCounts.from_map(c, {**a.counts, 0: n - a.weight})
-            l = FiberCounts.from_map(c, {**b.counts, 0: n - b.weight})
-            assert in_dual_single(a, b, n) == (not avoidance_feasible(k, l))
+            f, g = standard_columns(a, n), standard_columns(b, n)
+            assert in_dual_single(a, b, n) == (violating_order_ideal(f, g, c) is not None)
 
 
 class TestInDual:

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from symdual import lattice_geometry
 from symdual.errors import CapError, InputError
 from symdual.lattice_geometry import (
     Orthant,
@@ -102,6 +103,22 @@ class TestConeDecompose:
 
     def test_dimension_cap(self):
         p = SumPolyhedron.from_maps(9, {(j,): 0 for j in range(1, 10)})
+        with pytest.raises(CapError):
+            cone_decompose(p)
+
+    @pytest.mark.parametrize("k,lower,upper,count", [
+        # one witness; the split levels of all three coordinates add up
+        (3, {(1,): 0, (2,): 0, (3,): 0, (1, 2): 12, (2, 3): 12, (1, 3): 12}, {}, 55),
+        # a box of 4 x 5 witnesses, one orthant each
+        (2, {(1,): 0, (2,): 0}, {(1,): 3, (2,): 4}, 20),
+        # two witnesses of 13 orthants each
+        (3, {(1,): 0, (2,): 0, (3,): 0, (2, 3): 12}, {(1,): 1}, 26),
+    ], ids=["split-levels", "witness-box", "witnesses"])
+    def test_orthant_cap(self, monkeypatch, k, lower, upper, count):
+        p = SumPolyhedron.from_maps(k, lower, upper)
+        monkeypatch.setattr(lattice_geometry, "MAX_ORTHANTS", count)
+        assert len(cone_decompose(p)) == count
+        monkeypatch.setattr(lattice_geometry, "MAX_ORTHANTS", count - 1)
         with pytest.raises(CapError):
             cone_decompose(p)
 
