@@ -11,13 +11,21 @@ The ideal J = 2^[c] holds with equality whenever the totals agree, and
 J = {} is trivial, so only proper nonempty ideals are checked; those are
 generated by nonempty antichains.
 
+find_avoiding_permutation builds sigma greedily and runs on count vectors:
+a pairing of f-value t with g-value s changes only the counts of t and s,
+and a tight split keeps all indices of one value together, so the indices
+wait in one FIFO queue per value.  Each pairing lowers every Hall slack by
+at most one, so how many times one (t, s) pairing may repeat is the least
+slack it touches, and the greedy takes them in one batch.  The number of
+batches depends on c, not on |N|.
+
 hall_violation is the package's one Hall check; dual membership and
 divisibility up to symmetry (dual_core) call it with other right-hand sides.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
@@ -71,16 +79,52 @@ def _check_witness(f, g, sigma):
     )
 
 
+def _batch_size(
+    c: int, k: Mapping[int, int], l: Mapping[int, int], t0: int, s0: int, cap: int
+) -> int:
+    """Largest b <= cap such that b more (t0, s0) pairings keep k, l feasible.
+
+    A pairing lowers the slack sum_J l_{T^C} - sum_J k_T of an ideal J by
+    one when J holds s0^C but not t0, and leaves it unchanged otherwise: an
+    ideal holding t0 holds its superset s0^C.  So b is the least slack over
+    those ideals.  Shrinking such a J to the ideal generated by J & supp(k)
+    and s0^C keeps both conditions and does not raise the slack, so only the
+    ideals generated inside supp(k) and s0^C are visited.
+    """
+    full = bp.full_mask(c)
+    s0c = full ^ s0
+    ks = [(t, v) for t, v in k.items() if t and v]
+    rs = [(full ^ s, v) for s, v in l.items() if v]
+    for members in bp.ideals_generated_in(c, frozenset([s0c] + [t for t, _ in ks])):
+        if members >> s0c & 1 and not members >> t0 & 1:
+            slack = sum(v for t, v in rs if members >> t & 1) - sum(
+                v for t, v in ks if members >> t & 1
+            )
+            cap = min(cap, slack)
+    return cap
+
+
 def find_avoiding_permutation(
     f: Sequence[int], g: Sequence[int], c: int
 ) -> Optional[list[int]]:
     """Permutation sigma (as a list, i -> sigma[i]) with f[i] & g[sigma[i]] == 0, or None.
 
-    Constructive: repeatedly pair a nonempty f-fiber with a compatible
-    g-fiber; when removing the pair breaks feasibility, the tight ideal
-    splits the instance into two independent halves.  Ties are broken by
-    the standard subset order, then by first index.  Implemented with an
-    explicit worklist so the recursion depth never exceeds |N|.
+    Constructive greedy: pair the first index of the largest nonempty
+    f-value t0 in the standard order with the first index of the g-value s0
+    disjoint from it whose complement comes first in that order; when the
+    pairing would break feasibility, the ideal it violates is tight and
+    splits the instance into two independent halves.
+
+    The greedy runs on per-value index queues.  A split sends all indices of
+    one value to one side, so inside every sub-instance the first index of a
+    value is the head of that value's queue, and t0 and s0 depend only on the
+    count vectors.  A (t0, s0) pairing lowers the Hall slack of an ideal by
+    at most one, so feasibility after b repeats is monotone in b, and each
+    choice is paired in one batch of _batch_size pairings.  A batch that
+    stops before a count runs out is followed by the split the next pairing
+    would cause.  Each batch empties a queue or splits, and the splits
+    partition the f-values, so there are at most 3 * 2^c batches whatever
+    |N| is.  The explicit worklist keeps the recursion depth constant.
     """
     if len(f) != len(g):
         raise InputError("f and g must have the same length")
@@ -88,45 +132,61 @@ def find_avoiding_permutation(
     n = len(f)
     if _violating_ideal(c, Counter(f), Counter(g)) is not None:
         return None
+    full = bp.full_mask(c)
+    rank = bp.standard_rank(c)
+    fq: dict[int, deque] = {}
+    gq: dict[int, deque] = {}
+    for i, t in enumerate(f):
+        fq.setdefault(t, deque()).append(i)
+    for j, s in enumerate(g):
+        gq.setdefault(s, deque()).append(j)
     sigma: list[Optional[int]] = [None] * n
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
-        (tuple(range(n)), tuple(range(n)))
-    ]
+    # Each sub-instance owns the remaining indices of its f- and g-values.
+    stack: list[tuple[list[int], list[int]]] = [(list(fq), list(gq))]
     while stack:
-        fi, gi = stack.pop()
-        if not fi:
-            continue
-        nonempty = [i for i in fi if f[i]]
-        if not nonempty:
-            for i, j in zip(fi, gi):
-                sigma[i] = j
-            continue
-        # Largest nonempty f-value in the standard order, then first index.
-        t0 = min((f[i] for i in nonempty), key=bp.subset_sort_key)
-        i0 = next(i for i in fi if f[i] == t0)
-        # g-values disjoint from t0 are exactly those whose complement contains t0.
-        candidates = [j for j in gi if g[j] & t0 == 0]
-        assert candidates, "feasible instance must admit a compatible g-fiber"
-        s0c = min((g[j] for j in candidates), key=lambda m: bp.subset_sort_key(bp.complement(m, c)))
-        j0 = next(j for j in candidates if g[j] == s0c)
-        rest_f = tuple(i for i in fi if i != i0)
-        rest_g = tuple(j for j in gi if j != j0)
-        ideal = _violating_ideal(
-            c, Counter(f[i] for i in rest_f), Counter(g[j] for j in rest_g)
-        )
-        if ideal is None:
-            sigma[i0] = j0
-            stack.append((rest_f, rest_g))
-            continue
-        # Tight split: f-indices inside the ideal pair with g-indices whose
-        # complements land inside it; the two halves are independent.
-        n1 = tuple(i for i in fi if f[i] in ideal)
-        n2 = tuple(i for i in fi if f[i] not in ideal)
-        m1 = tuple(j for j in gi if bp.complement(g[j], c) in ideal)
-        m2 = tuple(j for j in gi if bp.complement(g[j], c) not in ideal)
-        assert len(n1) == len(m1) and n1 and n2, "tight ideal must split properly"
-        stack.append((n1, m1))
-        stack.append((n2, m2))
+        fvals, gvals = stack.pop()
+        while True:
+            k = {t: len(fq[t]) for t in fvals if fq[t]}
+            l = {s: len(gq[s]) for s in gvals if gq[s]}
+            nonempty = [t for t in k if t]
+            if not nonempty:
+                # Only f-value 0 is left; its indices pair with the g-indices
+                # in index order.
+                rest = sorted(j for s in l for j in gq[s])
+                zeros = fq[0] if 0 in k else ()
+                assert len(zeros) == len(rest), "sub-instance sizes must agree"
+                for i, j in zip(zeros, rest):
+                    sigma[i] = j
+                break
+            # Largest nonempty f-value in the standard order.
+            t0 = min(nonempty, key=rank.__getitem__)
+            # g-values disjoint from t0 are exactly those whose complement contains t0.
+            candidates = [s for s in l if s & t0 == 0]
+            assert candidates, "feasible instance must admit a compatible g-fiber"
+            s0 = min(candidates, key=lambda s: rank[full ^ s])
+            cap = min(k[t0], l[s0])
+            b = _batch_size(c, k, l, t0, s0, cap)
+            for _ in range(b):
+                sigma[fq[t0].popleft()] = gq[s0].popleft()
+            if b == cap:
+                continue
+            ideal = _violating_ideal(
+                c, {**k, t0: k[t0] - b - 1}, {**l, s0: l[s0] - b - 1}
+            )
+            assert ideal is not None, "the pairing past the batch must break feasibility"
+            # Tight split: f-values inside the ideal pair with g-values whose
+            # complements land inside it; the two halves are independent.
+            f1 = [t for t in k if t in ideal]
+            f2 = [t for t in k if t not in ideal]
+            g1 = [s for s in l if full ^ s in ideal]
+            g2 = [s for s in l if full ^ s not in ideal]
+            n1 = sum(len(fq[t]) for t in f1)
+            assert n1 == sum(len(gq[s]) for s in g1) and n1 and any(
+                fq[t] for t in f2
+            ), "tight ideal must split properly"
+            stack.append((f1, g1))
+            stack.append((f2, g2))
+            break
     out = [j for j in sigma if j is not None]
     assert len(out) == n
     _check_witness(f, g, out)

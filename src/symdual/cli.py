@@ -231,10 +231,8 @@ def cmd_cone(args) -> dict:
         ],
     }
     if ns:
-        doc["slices"] = [
-            {"n": n, "count": lattice_geometry.count_on_slice(orthants, n)}
-            for n in ns
-        ]
+        counts = lattice_geometry.count_on_slice(orthants, ns)
+        doc["slices"] = [{"n": n, "count": counts[n]} for n in ns]
     return doc
 
 
@@ -244,6 +242,7 @@ def cmd_match(args) -> dict:
         if key not in doc:
             raise InputError(f"match input needs '{key}'")
     c = bp.int_from_json(doc["c"], "c")
+    bp.check_ambient(c)
     f = [bp.subset_from_json(s, c) for s in bp.list_from_json(doc["f"], "f")]
     g = [bp.subset_from_json(s, c) for s in bp.list_from_json(doc["g"], "g")]
     sigma = avoidance.find_avoiding_permutation(f, g, c)

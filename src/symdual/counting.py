@@ -174,31 +174,57 @@ def facet_orbits_by_dimension(system: GeneratorSystem, n: int) -> dict[int, int]
 def type_vectors_of_degree(
     c: int, degree: int, max_weight: int | None = None
 ) -> Iterator[TypeVector]:
-    """All type vectors over [c] of the given total degree (weight capped)."""
+    """All type vectors over [c] of the given total degree (weight capped).
+
+    Depth first over the supports in standard order, each support taking its
+    multiplicity from the largest that fits down to 0.  The walk keeps its
+    own stack, so its depth is not bounded by the interpreter's recursion
+    limit, and it steps over the supports that can only take 0: those larger
+    than the remaining degree, and all of them once the weight is spent.
+    """
     bp.check_ambient(c)
+    if degree < 0:
+        return
     supports = bp.standard_order(c)
-    sizes = [m.bit_count() for m in supports]
+    # Sizes fall along the standard order: supports[first[r]:] have size <= r.
+    first = [sum(math.comb(c, i) for i in range(r + 1, c + 1)) for r in range(c + 1)]
     counts: dict[int, int] = {}
 
-    def rec(idx: int, remaining: int, weight: int) -> Iterator[TypeVector]:
-        if remaining == 0:
-            yield TypeVector.from_counts(c, dict(counts))
-            return
-        if idx == len(supports):
-            return
-        size = sizes[idx]
-        top = remaining // size
+    def frame(idx: int, remaining: int, weight: int) -> list[int] | None:
+        """[support index, remaining degree, weight, next multiplicity], or None."""
+        idx = max(idx, first[min(remaining, c)])
+        if idx == len(supports) or weight == max_weight:
+            return None
+        top = remaining // supports[idx].bit_count()
         if max_weight is not None:
             top = min(top, max_weight - weight)
-        for k in range(top, -1, -1):
-            if k:
-                counts[supports[idx]] = k
-            elif supports[idx] in counts:
-                del counts[supports[idx]]
-            yield from rec(idx + 1, remaining - k * size, weight + k)
-        counts.pop(supports[idx], None)
+        return [idx, remaining, weight, top]
 
-    yield from rec(0, degree, 0)
+    if degree == 0:
+        yield TypeVector.from_counts(c, {})
+        return
+    root = frame(0, degree, 0)
+    stack = [root] if root else []
+    while stack:
+        fr = stack[-1]
+        idx, remaining, weight, k = fr
+        mask = supports[idx]
+        if k < 0:
+            stack.pop()
+            counts.pop(mask, None)
+            continue
+        fr[3] = k - 1
+        if k:
+            counts[mask] = k
+        else:
+            counts.pop(mask, None)
+        left = remaining - k * mask.bit_count()
+        if left == 0:
+            yield TypeVector.from_counts(c, dict(counts))
+            continue
+        child = frame(idx + 1, left, weight + k)
+        if child:
+            stack.append(child)
 
 
 def face_orbit_count(system: GeneratorSystem, j: int, n: int) -> int:

@@ -20,6 +20,7 @@ that coordinate and has no finite orthant decomposition.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -228,24 +229,28 @@ def cone_decompose(p: SumPolyhedron) -> list[Orthant]:
     return out
 
 
-def count_on_slice(orthants: Iterable[Orthant], n: int) -> int:
-    """Integer points with coordinate sum n across the orthants, exactly.
+def count_on_slice(orthants: Iterable[Orthant], ns: Iterable[int]) -> dict[int, int]:
+    """{n: integer points with coordinate sum n across the orthants}, exactly.
 
-    An orthant with m free coordinates bounded by c_i and fixed part summing
-    to a contributes C(n - a - sum c_i + m - 1, m - 1) when that top entry is
-    nonnegative; a fully fixed orthant contributes 1 iff its sum is n.
+    An orthant with m free coordinates and apex sum b contributes
+    C(n - b + m - 1, m - 1) when n >= b; a fully fixed orthant contributes 1
+    iff n == b.  Both depend on the orthant only through (b, m), so the
+    orthants are grouped by that pair once, and each n sums over the groups.
     """
-    total = 0
-    for orth in orthants:
-        fixed_sum = sum(v for _, v in orth.fixed)
-        m = len(orth.bounded)
-        if m == 0:
-            total += 1 if fixed_sum == n else 0
-            continue
-        t = n - fixed_sum - sum(v for _, v in orth.bounded)
-        if t >= 0:
-            total += math.comb(t + m - 1, m - 1)
-    return total
+    groups = Counter(
+        (sum(v for _, v in orth.fixed) + sum(v for _, v in orth.bounded), len(orth.bounded))
+        for orth in orthants
+    )
+    out = {}
+    for n in ns:
+        total = 0
+        for (b, m), mult in groups.items():
+            if m == 0:
+                total += mult if n == b else 0
+            elif n >= b:
+                total += mult * math.comb(n - b + m - 1, m - 1)
+        out[n] = total
+    return out
 
 
 def enumerate_slice(

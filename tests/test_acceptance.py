@@ -223,11 +223,12 @@ def _check_decomposition(p):
     for pt in product(*[range(lo - 1, lo + 4) for lo in lows]):
         hits = sum(1 for o in orthants if o.contains(pt))
         assert hits == (1 if p.contains(pt) else 0), (p, pt)
-    for n in range(0, 26):
-        assert count_on_slice(orthants, n) == len(enumerate_slice(p, n))
+    assert count_on_slice(orthants, range(0, 26)) == {
+        n: len(enumerate_slice(p, n)) for n in range(0, 26)
+    }
     if orthants:
         start = slice_polynomial_threshold(orthants)
-        window = [count_on_slice(orthants, n) for n in range(start, start + 2 * p.k + 2)]
+        window = list(count_on_slice(orthants, range(start, start + 2 * p.k + 2)).values())
         diffs = window
         for _ in range(p.k):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]

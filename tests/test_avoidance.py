@@ -1,9 +1,12 @@
+import math
 import random
+from collections import Counter
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdual import boolean_poset as bp
+from symdual import avoidance, boolean_poset as bp
 from symdual.avoidance import (
     brute_force_avoidance,
     find_avoiding_permutation,
@@ -155,3 +158,76 @@ class TestLargeInstances:
         lhs = sum(1 for v in f if v in ideal)
         rhs = sum(1 for v in g if bp.complement(v, c) in ideal)
         assert lhs > rhs
+
+
+def planted_instance(seed, c, size):
+    """Feasible by construction: each g-value avoids the f-value it is drawn
+    for, before g is shuffled.  Drawing the full complement of the f-value
+    makes tight ideals, and half the g-values drawn for f-value 0 are full."""
+    rng = random.Random(seed)
+    full = bp.full_mask(c)
+    f = [rng.randrange(1 << c) for _ in range(size)]
+    g = []
+    for t in f:
+        roll = rng.random()
+        if t == 0 and roll < 0.5:
+            g.append(full)
+        elif roll < 0.3:
+            g.append(full ^ t)
+        else:
+            g.append(rng.randrange(1 << c) & ~t)
+    rng.shuffle(g)
+    return f, g
+
+
+# sha256 of the comma-joined permutation, as the pairing-by-pairing greedy
+# built it before it ran in batches on per-value queues.
+PINNED_PERMUTATIONS = {
+    (3, 300): "2b16b4df75e9815608f5eeb5a3862f95722707d655ffb593a1ca9f8be6000288",
+    (3, 600): "d900c7acd27205cfd4e7cc62682fe239df66ac910122204b67b14824fc721273",
+    (3, 1200): "d59607ad47414d22280bad400013e64aab1c37559290e4f53f5d8f14b29964ad",
+    (4, 300): "273ec650247e4e84e26251e10c04aa04392e66c840a60292dc16481e8c293080",
+    (4, 600): "048e675af458193c119eb97f819f01fbb7399566bb1cc83b5e73e2ebe0e89f4c",
+    (4, 1200): "406edf56c139a0b3d269d0a206f56f7a156d0a8f8f0379338bf47b4422d3186b",
+}
+
+
+class TestPinnedMatcher:
+    @pytest.mark.parametrize("c,size", sorted(PINNED_PERMUTATIONS))
+    def test_permutation_bytes(self, monkeypatch, c, size):
+        f, g = planted_instance(1000 * c + size, c, size)
+        assert 0 in f and bp.full_mask(c) in g
+        found = []
+        real = avoidance._violating_ideal
+
+        def recording(*args):
+            ideal = real(*args)
+            found.append(ideal is not None)
+            return ideal
+
+        monkeypatch.setattr(avoidance, "_violating_ideal", recording)
+        sigma = find_avoiding_permutation(f, g, c)
+        assert any(found), "the instance must take at least one tight split"
+        digest = sha256(",".join(map(str, sigma)).encode()).hexdigest()
+        assert digest == PINNED_PERMUTATIONS[(c, size)]
+
+    def test_hall_checks_do_not_grow_with_n(self, monkeypatch):
+        c, size = 4, 2000
+        f, g = planted_instance(7, c, size)
+        calls = Counter()
+        real_violating, real_ideals = avoidance._violating_ideal, bp.ideals_generated_in
+
+        def violating(*args):
+            calls["violating"] += 1
+            return real_violating(*args)
+
+        def ideals(*args):
+            calls["kernel passes"] += 1
+            return real_ideals(*args)
+
+        monkeypatch.setattr(avoidance, "_violating_ideal", violating)
+        monkeypatch.setattr(bp, "ideals_generated_in", ideals)
+        assert find_avoiding_permutation(f, g, c) is not None
+        # A check per pairing would make about `size` calls.
+        bound = 2**c * (math.ceil(math.log2(size)) + 2)
+        assert calls["violating"] <= bound and calls["kernel passes"] <= bound, calls

@@ -230,6 +230,7 @@ MALFORMED = [
     ("dual-gens", {"c": 0, "generators": [{"counts": []}]}),
     ("cone", {"k": 0, "lower": []}),
     ("match", {"c": 0, "f": [], "g": []}),
+    ("match", {"c": 0, "f": [[1]], "g": [[1]]}),
 ]
 
 
@@ -240,6 +241,22 @@ def test_malformed_document_is_a_one_line_schema_error(capsys, command, doc):
     assert code == EXIT_SCHEMA
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_match_checks_c_before_the_subsets(capsys):
+    doc = json.dumps({"c": 0, "f": [[1]], "g": [[1]]})
+    assert main(["match", "--json", doc]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == "error: ambient size c=0 must be an integer of at least 1\n"
+
+
+@pytest.mark.parametrize("c,j", [(10, 1), (16, 0)])
+def test_faces_at_large_c(capsys, c, j):
+    # The type-vector walk visits up to 2^c - 1 supports.
+    doc = json.dumps({"c": c, "generators": [{"counts": [{"support": [1, 2], "count": 1}]}]})
+    code = main(["faces", "--json", doc, "--j", str(j), "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    assert json.loads(captured.out)["samples"][0]["count"] > 0
 
 
 @pytest.mark.parametrize("option,raw", [

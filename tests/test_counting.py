@@ -204,3 +204,19 @@ class TestTypeVectorsOfDegree:
     def test_weight_cap(self):
         capped = set(type_vectors_of_degree(2, 2, max_weight=1))
         assert capped == {tv(2, {(1, 2): 1})}
+
+    def test_depth_first_order(self):
+        assert list(type_vectors_of_degree(2, 3)) == [
+            tv(2, {(1, 2): 1, (1,): 1}),
+            tv(2, {(1, 2): 1, (2,): 1}),
+            tv(2, {(1,): 3}),
+            tv(2, {(1,): 2, (2,): 1}),
+            tv(2, {(1,): 1, (2,): 2}),
+            tv(2, {(2,): 3}),
+        ]
+
+    def test_walk_does_not_recurse_per_support(self):
+        # 65 535 supports at c = 16, far past the interpreter's recursion limit.
+        assert list(type_vectors_of_degree(16, 1)) == [
+            tv(16, {(i,): 1}) for i in range(1, 17)
+        ]

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdual import lattice_geometry
 from symdual.errors import CapError, InputError
@@ -51,7 +52,7 @@ class TestConeDecompose:
     def test_worked_example(self):
         orthants = cone_decompose(EXAMPLE)
         check_box(EXAMPLE, orthants, pad_low=1, pad_high=11)
-        assert count_on_slice(orthants, 5) == 5
+        assert count_on_slice(orthants, [5]) == {5: 5}
 
     # The cone command prints the orthants in this order, so it is pinned.
     def test_pinned_order_without_upper_bounds(self):
@@ -139,25 +140,26 @@ class TestConeDecompose:
 class TestCountOnSlice:
     def test_worked_example_values(self):
         orthants = cone_decompose(EXAMPLE)
-        assert count_on_slice(orthants, 3) == 0
-        assert count_on_slice(orthants, 5) == 5
+        assert count_on_slice(orthants, [3, 5]) == {3: 0, 5: 5}
 
     def test_unconstrained_compositions(self):
         orth = Orthant(3, (), ((1, 0), (2, 0), (3, 0)))
-        for n in range(6):
-            assert count_on_slice([orth], n) == (n + 2) * (n + 1) // 2
+        assert count_on_slice([orth], range(6)) == {
+            n: (n + 2) * (n + 1) // 2 for n in range(6)
+        }
 
     def test_below_minimum_is_zero(self):
         orth = Orthant(2, ((1, 4),), ((2, 3),))
-        assert count_on_slice([orth], 5) == 0
+        assert count_on_slice([orth], [5]) == {5: 0}
 
     def test_matches_enumeration(self):
         rng = random.Random(37)
         for _ in range(40):
             p = random_polyhedron(rng, max_k=3)
             orthants = cone_decompose(p)
-            for n in range(-2, 15):
-                assert count_on_slice(orthants, n) == len(enumerate_slice(p, n))
+            assert count_on_slice(orthants, range(-2, 15)) == {
+                n: len(enumerate_slice(p, n)) for n in range(-2, 15)
+            }
 
     def test_polynomiality_by_finite_differences(self):
         rng = random.Random(53)
@@ -165,11 +167,40 @@ class TestCountOnSlice:
             p = random_polyhedron(rng, max_k=3)
             orthants = cone_decompose(p)
             start = slice_polynomial_threshold(orthants)
-            values = [count_on_slice(orthants, n) for n in range(start, start + 2 * p.k + 3)]
+            values = list(count_on_slice(orthants, range(start, start + 2 * p.k + 3)).values())
             diffs = values
             for _ in range(p.k):
                 diffs = [b - a for a, b in zip(diffs, diffs[1:])]
             assert all(d == 0 for d in diffs)
+
+
+@st.composite
+def slice_cases(draw):
+    """A polyhedron with k <= 5 and a slice range.  Half carry an upper bound,
+    on all coordinates half the time, which leaves fully fixed orthants."""
+    k = draw(st.integers(1, 5))
+    lower = {(j,): draw(st.integers(-2, 3)) for j in range(1, k + 1)}
+    if k > 1:
+        for support in draw(st.lists(st.sets(st.integers(1, k), min_size=2), max_size=3)):
+            lower[tuple(sorted(support))] = draw(st.integers(-2, 6))
+    upper = {}
+    if draw(st.booleans()):
+        support = range(1, k + 1) if draw(st.booleans()) else draw(
+            st.sets(st.integers(1, k), min_size=1)
+        )
+        upper[tuple(sorted(support))] = draw(st.integers(-2, 8))
+    a = draw(st.integers(-3, 8))
+    return SumPolyhedron.from_maps(k, lower, upper), range(a, a + draw(st.integers(0, 8)))
+
+
+class TestCountOnSliceProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(slice_cases())
+    def test_each_width_matches_enumeration(self, case):
+        p, ns = case
+        assert count_on_slice(cone_decompose(p), ns) == {
+            n: len(enumerate_slice(p, n)) for n in ns
+        }
 
 
 class TestEnumerateSlice:
