@@ -37,19 +37,20 @@ BRUTE_MAX_N = 8
 
 def hall_violation(
     c: int, k: Mapping[int, int], r: Mapping[int, int]
-) -> Optional[frozenset]:
+) -> Optional[int]:
     """First J in bp.proper_nonempty_ideals(c) with sum_J k_T > sum_J r_T, or None.
 
-    k and r map subset masks to nonnegative counts.  Only the ideals whose
-    minimal elements lie in supp(k) are visited.  That finds the same first
-    violator: shrinking a violator J to the upper closure of J & supp(k)
-    keeps its k-sum, does not raise its r-sum, and sorts no later.
+    k and r map subset masks to nonnegative counts; J is a 2^c-bit family.
+    Only the ideals whose minimal elements lie in supp(k) are visited.  That
+    finds the same first violator: shrinking a violator J to the upper
+    closure of J & supp(k) keeps its k-sum, does not raise its r-sum, and
+    sorts no later.
     """
     ks = [(t, v) for t, v in k.items() if t and v]
-    for members in bp.ideals_generated_in(c, frozenset(t for t, _ in ks)):
-        lhs = sum(v for t, v in ks if members >> t & 1)
-        if lhs > sum(v for t, v in r.items() if members >> t & 1):
-            return frozenset(t for t in range(1 << c) if members >> t & 1)
+    for ideal in bp.ideals_generated_in(c, sum(1 << t for t, _ in ks)):
+        lhs = sum(v for t, v in ks if ideal >> t & 1)
+        if lhs > sum(v for t, v in r.items() if ideal >> t & 1):
+            return ideal
     return None
 
 
@@ -62,11 +63,11 @@ def _violating_ideal(c: int, k: Mapping[int, int], l: Mapping[int, int]):
 
 def violating_order_ideal(
     f: Sequence[int], g: Sequence[int], c: int
-) -> Optional[frozenset]:
+) -> Optional[int]:
     """Certificate of infeasibility for find_avoiding_permutation's input, or None.
 
-    The first proper nonempty ideal J with more values of f in J than values
-    of g whose complements lie in J.
+    The first proper nonempty ideal J, as a 2^c-bit family, with more values
+    of f in J than values of g whose complements lie in J.
     """
     if len(f) != len(g):
         raise InputError("f and g must have the same length")
@@ -95,10 +96,10 @@ def _batch_size(
     s0c = full ^ s0
     ks = [(t, v) for t, v in k.items() if t and v]
     rs = [(full ^ s, v) for s, v in l.items() if v]
-    for members in bp.ideals_generated_in(c, frozenset([s0c] + [t for t, _ in ks])):
-        if members >> s0c & 1 and not members >> t0 & 1:
-            slack = sum(v for t, v in rs if members >> t & 1) - sum(
-                v for t, v in ks if members >> t & 1
+    for ideal in bp.ideals_generated_in(c, 1 << s0c | sum(1 << t for t, _ in ks)):
+        if ideal >> s0c & 1 and not ideal >> t0 & 1:
+            slack = sum(v for t, v in rs if ideal >> t & 1) - sum(
+                v for t, v in ks if ideal >> t & 1
             )
             cap = min(cap, slack)
     return cap
@@ -176,10 +177,10 @@ def find_avoiding_permutation(
             assert ideal is not None, "the pairing past the batch must break feasibility"
             # Tight split: f-values inside the ideal pair with g-values whose
             # complements land inside it; the two halves are independent.
-            f1 = [t for t in k if t in ideal]
-            f2 = [t for t in k if t not in ideal]
-            g1 = [s for s in l if full ^ s in ideal]
-            g2 = [s for s in l if full ^ s not in ideal]
+            f1 = [t for t in k if ideal >> t & 1]
+            f2 = [t for t in k if not ideal >> t & 1]
+            g1 = [s for s in l if ideal >> (full ^ s) & 1]
+            g2 = [s for s in l if not ideal >> (full ^ s) & 1]
             n1 = sum(len(fq[t]) for t in f1)
             assert n1 == sum(len(gq[s]) for s in g1) and n1 and any(
                 fq[t] for t in f2

@@ -1,14 +1,16 @@
 """Subsets of [c], order ideals and antichains in the Boolean lattice 2^[c].
 
 Subsets of [c] = {1, ..., c} are encoded as bitmasks, row i <-> bit i-1, so
-all set algebra is word operations.  Throughout the package an "order ideal"
-is an *upper* set: a family of subsets closed under taking supersets.
-Families are plain frozensets of masks.
+all set algebra is word operations.  A family of subsets is a 2^c-bit
+integer, bit t set iff the mask t is a member, and this is the package's one
+representation of a family: closures, minimal elements and complements are
+a shift-and-mask step per row.  Throughout the package an "order ideal" is
+an *upper* set: a family closed under taking supersets.
 
 Order ideals have one enumerator, ideals_generated_in: the ideals generated
-by the antichains inside a given set of masks, each as a 2^c-bit member
-bitset.  proper_nonempty_ideals is its output for all nonempty masks, as
-frozensets, and nonempty_antichains lists their minimal elements.
+by the antichains inside a given family.  proper_nonempty_ideals is its
+output for all nonempty masks, and nonempty_antichains lists their minimal
+elements.
 
 Subsets are serialized in JSON as sorted arrays of 1-based integers, e.g.
 [1, 3]; families as arrays of such arrays.
@@ -17,7 +19,7 @@ Subsets are serialized in JSON as sorted arrays of 1-based integers, e.g.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .config import SUBSET_MAX_C, ideal_enum_cap
 from .errors import CapError, InputError
@@ -56,10 +58,6 @@ def elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_subset(s: int, t: int) -> bool:
-    return s | t == t
-
-
 def complement(t: int, c: int) -> int:
     """[c] - T.  Involution: complement(complement(T)) == T."""
     check_ambient(c)
@@ -68,61 +66,65 @@ def complement(t: int, c: int) -> int:
     return full_mask(c) ^ t
 
 
-def complement_family(family: Iterable[int], c: int) -> frozenset:
-    """Elementwise complements {T^C : T in family}; cardinality preserved."""
-    return frozenset(complement(t, c) for t in family)
+def members(family: int) -> list[int]:
+    """The masks of a family, ascending."""
+    out = []
+    while family:
+        low = family & -family
+        out.append(low.bit_length() - 1)
+        family ^= low
+    return out
 
 
-def supersets(mask: int, c: int) -> Iterator[int]:
-    """All supersets of mask inside 2^[c], mask itself included."""
-    free = full_mask(c) ^ mask
-    sub = free
-    while True:
-        yield mask | sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & free
+@lru_cache(maxsize=None)
+def _rows(c: int) -> tuple[tuple[int, int], ...]:
+    """Per row i: (2^i, the family of all masks without bit i).
 
-
-def subsets_of(mask: int) -> Iterator[int]:
-    """All subsets of mask, the empty set included."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def upper_closure(generators: Iterable[int], c: int) -> frozenset:
-    """Smallest upward-closed family of 2^[c] containing the generators."""
-    out = set()
-    for g in generators:
-        out.update(supersets(g, c))
-    return frozenset(out)
-
-
-def lower_closure(generators: Iterable[int], c: int) -> frozenset:
-    """Smallest downward-closed family containing the generators (with the empty set)."""
+    Moving a member t without bit i to t | bit i is a shift by 2^i, so a
+    family operation is one shift-and-mask step per row.
+    """
     check_ambient(c)
-    out = set()
-    for g in generators:
-        out.update(subsets_of(g))
-    return frozenset(out)
-
-
-def minimal_elements(family: Iterable[int]) -> frozenset:
-    """Members not properly containing another member; always an antichain."""
-    fam = set(family)
-    return frozenset(
-        t for t in fam if not any(s != t and is_subset(s, t) for s in fam)
+    universe = (1 << (1 << c)) - 1
+    return tuple(
+        (1 << i, universe // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1))
+        for i in range(c)
     )
 
 
-def is_order_ideal(family: Iterable[int], c: int) -> bool:
-    """Full-scan test for upward closure inside 2^[c]."""
-    fam = set(family)
-    return all(s in fam for t in fam for s in supersets(t, c))
+def upper_closure(family: int, c: int) -> int:
+    """Smallest upward-closed family of 2^[c] containing the family."""
+    for step, low in _rows(c):
+        family |= (family & low) << step
+    return family
+
+
+def lower_closure(family: int, c: int) -> int:
+    """Smallest downward-closed family containing the family."""
+    for step, low in _rows(c):
+        family |= (family >> step) & low
+    return family
+
+
+# general_candidates asks for the same few thousand families over and over.
+@lru_cache(maxsize=1 << 13)
+def minimal_elements(family: int, c: int) -> int:
+    """Members not properly containing another member; always an antichain."""
+    above = 0
+    for step, low in _rows(c):
+        above |= (family & low) << step
+    return family & ~upper_closure(above, c)
+
+
+def complement_family(family: int, c: int) -> int:
+    """Elementwise complements {T^C : T in family}: the 2^c-bit string reversed."""
+    for step, low in _rows(c):
+        family = (family & low) << step | (family >> step) & low
+    return family
+
+
+def is_order_ideal(family: int, c: int) -> bool:
+    """Is the family upward closed inside 2^[c]?"""
+    return upper_closure(family, c) == family
 
 
 def subset_sort_key(mask: int):
@@ -164,39 +166,39 @@ def check_ideal_cap(c: int) -> None:
 
 
 @lru_cache(maxsize=1024)
-def ideals_generated_in(c: int, gens: frozenset) -> tuple[int, ...]:
-    """Member bitsets of the ideals generated by nonempty antichains of the
-    nonempty masks gens, ordered by size, then by sorted members.
+def ideals_generated_in(c: int, gens: int) -> tuple[int, ...]:
+    """The ideals generated by nonempty antichains of the family gens of
+    nonempty masks, ordered by size, then by ascending members.
 
     Taken by increasing size, a mask is never below an earlier one, so it
-    extends exactly the antichains whose closure misses it.
+    extends exactly the antichains whose closure misses it.  At equal size
+    the ideal holding the least mask where two differ sorts first, which is
+    the larger complement family sorting first.
     """
-    closures = [frozenset()]
-    for g in sorted(gens, key=int.bit_count):
-        up = upper_closure([g], c)
-        closures += [j | up for j in closures if g not in j]
-    closures = sorted(closures[1:], key=lambda j: (len(j), sorted(j)))
-    return tuple(sum(1 << t for t in j) for j in closures)
+    closures = [0]
+    for g in sorted(members(gens), key=int.bit_count):
+        up = upper_closure(1 << g, c)
+        closures += [j | up for j in closures if not j >> g & 1]
+    return tuple(sorted(
+        closures[1:], key=lambda j: (j.bit_count(), -complement_family(j, c))
+    ))
 
 
 @lru_cache(maxsize=None)
-def proper_nonempty_ideals(c: int) -> tuple[frozenset, ...]:
+def proper_nonempty_ideals(c: int) -> tuple[int, ...]:
     """All order ideals J with {} != J != 2^[c], in ideals_generated_in order.
 
     They are the ideals generated by the nonempty antichains of nonempty
     masks, so their members are nonempty masks.
     """
     check_ideal_cap(c)
-    return tuple(
-        frozenset(t for t in range(1 << c) if members >> t & 1)
-        for members in ideals_generated_in(c, frozenset(range(1, 1 << c)))
-    )
+    return ideals_generated_in(c, (1 << (1 << c)) - 2)
 
 
 @lru_cache(maxsize=None)
-def nonempty_antichains(c: int) -> tuple[frozenset, ...]:
+def nonempty_antichains(c: int) -> tuple[int, ...]:
     """Nonempty antichains of nonempty subsets, in bijection with proper_nonempty_ideals."""
-    return tuple(minimal_elements(j) for j in proper_nonempty_ideals(c))
+    return tuple(minimal_elements(j, c) for j in proper_nonempty_ideals(c))
 
 
 # -- JSON ------------------------------------------------------------------
@@ -222,5 +224,5 @@ def subset_from_json(doc, c: int) -> int:
     return mask_of([int_from_json(i, "row index") for i in list_from_json(doc, "subset")], c)
 
 
-def family_to_json(family: Iterable[int]) -> list[list[int]]:
-    return sorted(subset_to_json(m) for m in family)
+def family_to_json(family: int) -> list[list[int]]:
+    return sorted(subset_to_json(m) for m in members(family))

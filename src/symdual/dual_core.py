@@ -17,16 +17,13 @@ On top of those sit the minimal generating sets, and min_gens picks the
 path from the input.  A one-generator system takes the closed form, one
 class per antichain cut out by inequalities on the column counts.  Two or
 more generators take the ideal-tuple enumeration, pruned to minimality by
-divisibility against the smaller survivors.  That enumeration runs on plain
-integers: a family of subsets of [c] is a 2^c-bit mask, so regions, overlap
-cells and minimal elements are bit operations on per-c tables.
+divisibility against the smaller survivors.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import boolean_poset as bp
 from .avoidance import hall_violation
@@ -35,13 +32,13 @@ from .errors import CapError, InputError, WidthError
 from .orbit_monomials import GeneratorSystem, TypeVector
 
 
-def k_of_antichain(tv: TypeVector, antichain: Iterable[int]) -> int:
-    """Sum of counts over supports meeting every member of the antichain.
+def k_of_antichain(tv: TypeVector, antichain: int) -> int:
+    """Sum of counts over supports meeting every member of the antichain family.
 
     Those are exactly the supports T whose complement admits no member of
     the antichain below it.
     """
-    members = tuple(antichain)
+    members = bp.members(antichain)
     return sum(
         k for mask, k in tv.items if all(mask & s for s in members)
     )
@@ -126,25 +123,27 @@ def one_orbit_min_gens(a: TypeVector, n: int) -> tuple[TypeVector, ...]:
     """
     c = a.c
     _check_enumerable(c, a.weight, n)
-    antichains = bp.nonempty_antichains(c)
-    k_of = {ac: k_of_antichain(a, ac) for ac in antichains}
-    eligible = [ac for ac in antichains if k_of[ac] >= 1]
+    # Each antichain with the ideal it generates and its k.
+    rows = [
+        (ac, ideal, k_of_antichain(a, ac))
+        for ac, ideal in zip(bp.nonempty_antichains(c), bp.proper_nonempty_ideals(c))
+    ]
     out: list[TypeVector] = []
-    for chain in eligible:
-        target = n + 1 - k_of[chain]
-        members = bp.sort_standard(chain)
+    for chain, _, k_chain in rows:
+        if k_chain < 1:
+            continue
+        target = n + 1 - k_chain
+        members = bp.sort_standard(bp.members(chain))
         if target < len(members):
             continue
         lower = bp.lower_closure(chain, c)
-        cuts: dict[frozenset, int] = {}
+        cuts: dict[int, int] = {}
         dead = False
-        for other in antichains:
-            if other == chain or not other <= lower:
+        for other, closure, k_other in rows:
+            if other == chain or other & ~lower:
                 continue
-            outside = frozenset(
-                t for t in chain if not any(bp.is_subset(s, t) for s in other)
-            )
-            bound = k_of[other] - k_of[chain]
+            outside = chain & ~closure
+            bound = k_other - k_chain
             if not outside:
                 if bound >= 0:
                     dead = True
@@ -157,8 +156,10 @@ def one_orbit_min_gens(a: TypeVector, n: int) -> tuple[TypeVector, ...]:
                 cuts[outside] = bound
         if dead:
             continue
-        cut_list = [(tuple(members.index(t) for t in cut), bound)
-                    for cut, bound in cuts.items()]
+        cut_list = [
+            (tuple(i for i, t in enumerate(members) if cut >> t & 1), bound)
+            for cut, bound in cuts.items()
+        ]
         for combo in _compositions(target, len(members), 1):
             if all(sum(combo[i] for i in idx) > bound for idx, bound in cut_list):
                 out.append(TypeVector(c, tuple(zip(members, combo))))
@@ -167,31 +168,6 @@ def one_orbit_min_gens(a: TypeVector, n: int) -> tuple[TypeVector, ...]:
 
 
 # -- general case -------------------------------------------------------------
-# Families of subsets of [c] are 2^c-bit integers: bit t set iff t is a member.
-
-
-@lru_cache(maxsize=None)
-def _ideal_tables(c: int):
-    """The proper nonempty ideals, their complement families and each mask's
-    family of proper supersets."""
-    full = bp.full_mask(c)
-    ideals = bp.proper_nonempty_ideals(c)
-    bars = tuple(sum(1 << (full ^ t) for t in j) for j in ideals)
-    up = tuple(
-        sum(1 << t for t in bp.supersets(s, c)) ^ (1 << s) for s in range(1 << c)
-    )
-    return ideals, bars, up
-
-
-def _minimal(family: int, up) -> int:
-    """The members of a family with no other member below them."""
-    above = 0
-    rest = family
-    while rest:
-        low = rest & -rest
-        above |= up[low.bit_length() - 1]
-        rest ^= low
-    return family & ~above
 
 
 def _strict_solutions(
@@ -235,12 +211,12 @@ def general_candidates(system: GeneratorSystem, n: int) -> frozenset:
     """
     c = system.c
     _check_enumerable(c, system.m, n)
-    ideals, bars, up = _ideal_tables(c)
+    ideals = bp.proper_nonempty_ideals(c)
+    bars = [bp.complement_family(j, c) for j in ideals]
     order, rank = bp.standard_order(c), bp.standard_rank(c)
     options = []
     for g in system.generators:
-        counts = g.counts
-        ksums = [sum(counts.get(t, 0) for t in j) for j in ideals]
+        ksums = [sum(k for t, k in g.items if j >> t & 1) for j in ideals]
         options.append([(bar, k - 1) for bar, k in zip(bars, ksums) if k])
     universe = (1 << (1 << c)) - 1
     out: set[TypeVector] = set()
@@ -260,14 +236,14 @@ def general_candidates(system: GeneratorSystem, n: int) -> frozenset:
             cells = split
         # Solutions depend only on the caps and the cells' minimal elements,
         # packed one 2^c-bit slot per row set.
-        cells = [(_minimal(members, up), rows) for members, rows in cells]
+        cells = [(bp.minimal_elements(members, c), rows) for members, rows in cells]
         caps = tuple(cap for _, cap in tup)
         key = (sum(minimal << (rows << c) for minimal, rows in cells if rows), caps)
         if key not in solutions:
             allowed = sorted(
                 (s, tuple(i for i in range(len(tup)) if rows >> i & 1))
                 for minimal, rows in cells if rows
-                for s in range(1 << c) if minimal >> s & 1
+                for s in bp.members(minimal)
             )
             solutions[key] = _strict_solutions(allowed, caps)
         free = next(minimal for minimal, rows in cells if not rows)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdual import boolean_poset as bp
 from symdual.errors import CapError
@@ -6,6 +7,15 @@ from symdual.errors import CapError
 
 def m(*indices, c=3):
     return bp.mask_of(indices, c)
+
+
+def fam(*masks):
+    """The 2^c-bit family holding the given masks."""
+    return sum(1 << t for t in set(masks))
+
+
+def as_set(family):
+    return {t for t in range(family.bit_length()) if family >> t & 1}
 
 
 def above(s, t):
@@ -30,46 +40,46 @@ class TestComplement:
 
 class TestComplementFamily:
     def test_elementwise(self):
-        fam = {m(1, 2), m(2, 3), m(1, 3), m(1, 2, 3)}
-        assert bp.complement_family(fam, 3) == {m(3), m(1), m(2), 0}
+        family = fam(m(1, 2), m(2, 3), m(1, 3), m(1, 2, 3))
+        assert bp.complement_family(family, 3) == fam(m(3), m(1), m(2), 0)
 
     def test_empty(self):
-        assert bp.complement_family(set(), 3) == frozenset()
+        assert bp.complement_family(0, 3) == 0
 
     def test_order_ideal_of_two_singletons(self):
-        ideal = bp.upper_closure([m(2), m(3)], 3)
+        ideal = bp.upper_closure(fam(m(2), m(3)), 3)
         comp = bp.complement_family(ideal, 3)
-        assert comp == {m(1, 3), m(1, 2), m(3), m(1), m(2), 0}
+        assert comp == fam(m(1, 3), m(1, 2), m(3), m(1), m(2), 0)
 
     def test_cardinality_preserved(self):
-        fam = {0, m(1), m(1, 2)}
-        assert len(bp.complement_family(fam, 3)) == len(fam)
+        family = fam(0, m(1), m(1, 2))
+        assert bp.complement_family(family, 3).bit_count() == family.bit_count()
 
 
 class TestUpperClosure:
     def test_two_singletons(self):
-        got = bp.upper_closure([m(2), m(3)], 3)
-        assert got == {m(2), m(3), m(1, 2), m(2, 3), m(1, 3), m(1, 2, 3)}
+        got = bp.upper_closure(fam(m(2), m(3)), 3)
+        assert got == fam(m(2), m(3), m(1, 2), m(2, 3), m(1, 3), m(1, 2, 3))
 
     def test_top_element(self):
-        assert bp.upper_closure([m(1, 2, 3)], 3) == {m(1, 2, 3)}
+        assert bp.upper_closure(fam(m(1, 2, 3)), 3) == fam(m(1, 2, 3))
 
     def test_empty(self):
-        assert bp.upper_closure([], 3) == frozenset()
+        assert bp.upper_closure(0, 3) == 0
 
 
 class TestMinimalElements:
     def test_drops_covered(self):
-        assert bp.minimal_elements({m(2), m(1, 2), m(2, 3)}) == {m(2)}
+        assert bp.minimal_elements(fam(m(2), m(1, 2), m(2, 3)), 3) == fam(m(2))
 
     def test_antichain_unchanged(self):
-        ac = frozenset({m(1, 2), m(1, 3)})
-        assert bp.minimal_elements(ac) == ac
+        ac = fam(m(1, 2), m(1, 3))
+        assert bp.minimal_elements(ac, 3) == ac
 
     def test_difference_family(self):
-        whole = set(range(1, 8))
-        ideal = bp.upper_closure([m(2), m(3)], 3)
-        assert bp.minimal_elements(whole - ideal) == {m(1)}
+        whole = fam(*range(1, 8))
+        ideal = bp.upper_closure(fam(m(2), m(3)), 3)
+        assert bp.minimal_elements(whole & ~ideal, 3) == fam(m(1))
 
 
 class TestEnumeration:
@@ -78,11 +88,16 @@ class TestEnumeration:
         ideals = bp.proper_nonempty_ideals(c)
         assert len(ideals) == count
         assert len(set(ideals)) == count
-        assert frozenset() not in ideals
-        assert frozenset(range(1 << c)) not in ideals
+        assert 0 not in ideals
+        assert fam(*range(1 << c)) not in ideals
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    def test_ordered_by_size_then_ascending_members(self, c):
+        ideals = list(bp.proper_nonempty_ideals(c))
+        assert ideals == sorted(ideals, key=lambda j: (j.bit_count(), sorted(as_set(j))))
 
     def test_c1_ideals(self):
-        assert bp.proper_nonempty_ideals(1) == (frozenset({1}),)
+        assert bp.proper_nonempty_ideals(1) == (fam(1),)
 
     def test_antichain_bijection(self):
         for c in (1, 2, 3):
@@ -90,9 +105,9 @@ class TestEnumeration:
             antichains = bp.nonempty_antichains(c)
             assert len(antichains) == len(set(antichains)) == len(ideals)
             for ideal, ac in zip(ideals, antichains):
-                assert 0 not in ac
+                assert not ac & 1
                 assert bp.upper_closure(ac, c) == ideal
-                assert bp.minimal_elements(bp.upper_closure(ac, c)) == ac
+                assert bp.minimal_elements(bp.upper_closure(ac, c), c) == ac
 
     def test_cap(self):
         with pytest.raises(CapError):
@@ -139,18 +154,18 @@ class TestComplementDuality:
         c = 3
         whole = list(range(1 << c))
         for j_small in itertools.combinations(whole, 3):
-            k_fam = set(whole[:6])
-            j_fam = set(j_small) & k_fam
-            left = bp.complement_family(k_fam - j_fam, c)
-            right = bp.complement_family(k_fam, c) - bp.complement_family(j_fam, c)
+            k_fam = fam(*whole[:6])
+            j_fam = fam(*j_small) & k_fam
+            left = bp.complement_family(k_fam & ~j_fam, c)
+            right = bp.complement_family(k_fam, c) & ~bp.complement_family(j_fam, c)
             assert left == right
 
     @pytest.mark.parametrize("c", [2, 3, 4])
     def test_order_ideal_iff_complement_difference_is(self, c):
-        whole = frozenset(range(1 << c))
+        whole = fam(*range(1 << c))
         comp_whole = bp.complement_family(whole, c)
-        for fam in (frozenset(), whole, *bp.proper_nonempty_ideals(c)):
-            assert bp.is_order_ideal(comp_whole - bp.complement_family(fam, c), c)
+        for family in (0, whole, *bp.proper_nonempty_ideals(c)):
+            assert bp.is_order_ideal(comp_whole & ~bp.complement_family(family, c), c)
 
 
 class TestJson:
@@ -159,5 +174,44 @@ class TestJson:
         assert bp.subset_from_json([1, 3], 3) == m(1, 3)
 
     def test_family_round_trip(self):
-        fam = frozenset({0, m(2), m(1, 3)})
-        assert frozenset(bp.subset_from_json(s, 3) for s in bp.family_to_json(fam)) == fam
+        family = fam(0, m(2), m(1, 3))
+        assert bp.family_to_json(family) == [[], [1, 3], [2]]
+        assert fam(*(bp.subset_from_json(s, 3) for s in bp.family_to_json(family))) == family
+
+
+@st.composite
+def families(draw):
+    """An ambient size c <= 6 and a family of subsets of [c] as a 2^c-bit int."""
+    c = draw(st.integers(1, 6))
+    sparse = st.sets(st.integers(0, (1 << c) - 1)).map(lambda held: fam(*held))
+    return c, draw(st.one_of(st.integers(0, (1 << (1 << c)) - 1), sparse))
+
+
+class TestFamilyOperationsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(families())
+    def test_operations_match_their_definitions(self, case):
+        c, family = case
+        ambient = range(1 << c)
+        held = as_set(family)
+        up = {t for t in ambient if any(s & ~t == 0 for s in held)}
+        down = {t for t in ambient if any(t & ~s == 0 for s in held)}
+        assert as_set(bp.upper_closure(family, c)) == up
+        assert as_set(bp.lower_closure(family, c)) == down
+        assert as_set(bp.minimal_elements(family, c)) == {
+            t for t in held if not any(s != t and s & ~t == 0 for s in held)
+        }
+        assert as_set(bp.complement_family(family, c)) == {
+            bp.full_mask(c) ^ t for t in held
+        }
+        assert bp.is_order_ideal(family, c) == (up == held)
+        assert bp.members(family) == sorted(held)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_ideal_antichain_bijection_round_trips(self, c, data):
+        ideals = bp.proper_nonempty_ideals(c)
+        i = data.draw(st.integers(0, len(ideals) - 1))
+        ideal, antichain = ideals[i], bp.nonempty_antichains(c)[i]
+        assert bp.minimal_elements(ideal, c) == antichain
+        assert bp.upper_closure(antichain, c) == ideal

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,28 @@ class TestFaceOrbitCount:
 
     def test_above_dimension_zero(self):
         assert face_orbit_count(EDGE_SYS, 7, 3) == 0
+
+    def test_divisibility_checks_do_not_scan_2_to_the_c(self):
+        # Each of the 143 squarefree degree-2 orbits at c = 12 takes one
+        # divisibility test.  A test that walks all 2^12 masks makes about
+        # 150 000 Python calls in total; one that stays on the generator's
+        # support makes about 13 000 from a cold start.
+        c = 12
+        system = GeneratorSystem(c, (tv(c, {(1, 2): 1}),))
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            count = face_orbit_count(system, 1, 3)
+        finally:
+            sys.setprofile(previous)
+        assert count == 143
+        assert calls < 40_000, calls
 
 
 class TestTypeVectorsOfDegree:

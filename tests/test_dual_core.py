@@ -2,7 +2,7 @@ import random
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symdual import boolean_poset as bp
 from symdual.avoidance import violating_order_ideal
@@ -50,16 +50,16 @@ def random_tv(rng, c, max_weight, nonzero=True):
 
 class TestKOfAntichain:
     def test_triangle_pair(self):
-        chain = frozenset({bp.mask_of([2], 3), bp.mask_of([3], 3)})
+        chain = 1 << bp.mask_of([2], 3) | 1 << bp.mask_of([3], 3)
         assert k_of_antichain(TRIANGLE, chain) == 1
 
     def test_top_antichain_gives_weight(self):
-        chain = frozenset({bp.full_mask(3)})
+        chain = 1 << bp.full_mask(3)
         assert k_of_antichain(TRIANGLE, chain) == TRIANGLE.weight
 
     def test_c2(self):
         a = tv(2, {(1, 2): 1})
-        chain = frozenset({bp.mask_of([1], 2), bp.mask_of([2], 2)})
+        chain = 1 << bp.mask_of([1], 2) | 1 << bp.mask_of([2], 2)
         assert k_of_antichain(a, chain) == 1
 
 
@@ -224,6 +224,29 @@ class TestTwoGeneratorSystems:
             system.c, [relabel(g, perm) for g in system.generators]
         )
         assert set(min_gens(relabeled, n)) == {relabel(g, perm) for g in gens}
+
+
+@st.composite
+def oracle_sized_systems(draw):
+    """One- and two-generator systems at c <= 3 with a width n, c*n <= 15."""
+    c = draw(st.integers(1, 3))
+    counts = st.dictionaries(
+        st.integers(1, (1 << c) - 1), st.integers(1, 2), min_size=1, max_size=3
+    )
+    system = GeneratorSystem.make(
+        c, [TypeVector.from_counts(c, draw(counts)) for _ in range(draw(st.integers(1, 2)))]
+    )
+    assume(system.m <= 15 // c)
+    return system, draw(st.integers(system.m, 15 // c))
+
+
+class TestMinGensAgainstOracle:
+    # Both min_gens paths, the closed form and the ideal-tuple enumeration.
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_sized_systems())
+    def test_equals_brute_force_scan(self, case):
+        system, n = case
+        assert set(min_gens(system, n)) == brute_min_gens_dual(system, n)
 
 
 class TestGeneralCandidates:

@@ -54,6 +54,18 @@ class TestConeDecompose:
         check_box(EXAMPLE, orthants, pad_low=1, pad_high=11)
         assert count_on_slice(orthants, [5]) == {5: 5}
 
+    def test_witness_box_past_the_cap(self):
+        # Five coordinates with lower bounds 0, 0, -2, -2, -2 under one upper
+        # bound 4: the witness box holds 11^5 = 161 051 points.
+        p = SumPolyhedron.from_maps(
+            5, {(1,): 0, (2,): 0, (3,): -2, (4,): -2, (5,): -2}, {(1, 2, 3, 4, 5): 4}
+        )
+        assert p == SumPolyhedron(
+            k=5, lower=((1, 0), (2, 0), (4, -2), (8, -2), (16, -2)), upper=((31, 4),)
+        )
+        with pytest.raises(CapError, match="witness box"):
+            cone_decompose(p)
+
     # The cone command prints the orthants in this order, so it is pinned.
     def test_pinned_order_without_upper_bounds(self):
         assert [(o.fixed, o.bounded) for o in cone_decompose(EXAMPLE)] == [
@@ -177,7 +189,12 @@ class TestCountOnSlice:
 @st.composite
 def slice_cases(draw):
     """A polyhedron with k <= 5 and a slice range.  Half carry an upper bound,
-    on all coordinates half the time, which leaves fully fixed orthants."""
+    on all coordinates half the time, which leaves fully fixed orthants.
+
+    An upper bound U over a support whose singleton lower bounds sum to L
+    gives a witness box of (U - L + 1)^|support| points, so U - L <= 8 keeps
+    it within MAX_ORTHANTS (9^5 = 59 049).
+    """
     k = draw(st.integers(1, 5))
     lower = {(j,): draw(st.integers(-2, 3)) for j in range(1, k + 1)}
     if k > 1:
@@ -188,7 +205,8 @@ def slice_cases(draw):
         support = range(1, k + 1) if draw(st.booleans()) else draw(
             st.sets(st.integers(1, k), min_size=1)
         )
-        upper[tuple(sorted(support))] = draw(st.integers(-2, 8))
+        low_sum = sum(lower[(j,)] for j in support)
+        upper[tuple(sorted(support))] = draw(st.integers(-2, min(8, low_sum + 8)))
     a = draw(st.integers(-3, 8))
     return SumPolyhedron.from_maps(k, lower, upper), range(a, a + draw(st.integers(0, 8)))
 
