@@ -8,11 +8,7 @@ of the ambient width, all cross-validated by a brute-force oracle at small
 scale.
 """
 
-from .avoidance import (
-    brute_force_avoidance,
-    find_avoiding_permutation,
-    violating_order_ideal,
-)
+from .avoidance import find_avoiding_permutation, violating_order_ideal
 from .counting import (
     RationalPolynomial,
     count_series,
@@ -56,7 +52,6 @@ from .orbit_monomials import (
     generator_system_from_json,
     generator_system_to_json,
     orbit_size,
-    standard_matrix,
     type_vector_from_json,
     type_vector_of_matrix,
     type_vector_to_json,

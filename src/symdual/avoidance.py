@@ -26,13 +26,10 @@ divisibility up to symmetry (dual_core) call it with other right-hand sides.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import permutations
 from typing import Mapping, Optional, Sequence
 
 from . import boolean_poset as bp
-from .errors import CapError, InputError
-
-BRUTE_MAX_N = 8
+from .errors import InputError
 
 
 def hall_violation(
@@ -193,17 +190,3 @@ def find_avoiding_permutation(
     _check_witness(f, g, out)
     return out
 
-
-def brute_force_avoidance(
-    f: Sequence[int], g: Sequence[int]
-) -> Optional[list[int]]:
-    """Exhaustive search over all |N|! permutations; test oracle."""
-    if len(f) != len(g):
-        raise InputError("f and g must have the same length")
-    n = len(f)
-    if n > BRUTE_MAX_N:
-        raise CapError(f"brute-force avoidance capped at N<={BRUTE_MAX_N}")
-    for perm in permutations(range(n)):
-        if all(f[i] & g[perm[i]] == 0 for i in range(n)):
-            return list(perm)
-    return None

@@ -58,14 +58,6 @@ def elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def complement(t: int, c: int) -> int:
-    """[c] - T.  Involution: complement(complement(T)) == T."""
-    check_ambient(c)
-    if t & ~full_mask(c):
-        raise InputError(f"mask {t:#x} has bits outside [c] for c={c}")
-    return full_mask(c) ^ t
-
-
 def members(family: int) -> list[int]:
     """The masks of a family, ascending."""
     out = []
@@ -120,11 +112,6 @@ def complement_family(family: int, c: int) -> int:
     for step, low in _rows(c):
         family = (family & low) << step | (family >> step) & low
     return family
-
-
-def is_order_ideal(family: int, c: int) -> bool:
-    """Is the family upward closed inside 2^[c]?"""
-    return upper_closure(family, c) == family
 
 
 def subset_sort_key(mask: int):

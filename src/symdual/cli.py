@@ -295,9 +295,7 @@ def cmd_verify(args) -> dict:
             if dual_core.divides_up_to_sym(a, b, n) != oracle.brute_divides(a, b, n):
                 raise VerificationError("divisibility kernels disagree")
             checks["divisibility_agreements"] += 1
-        gens_expanded = sorted(
-            set().union(*[oracle.expand_orbit(a, n) for a in system.generators])
-        )
+        gens_expanded = oracle.expanded_generators(system, n)
         for tv in list(fast)[:20]:
             mask = oracle.mask_of_columns(oracle.standard_columns(tv, n), system.c)
             if not oracle.brute_in_dual(gens_expanded, mask):

@@ -2,24 +2,34 @@
 
 Monomials in the c x n variable grid are single machine-word bitmasks,
 column j (0-based) occupying bits [j*c, (j+1)*c).  Duals, minimal
-generators, f-vectors and divisibility are computed from first principles
-by full-space scans and permutation search; every symmetric computation in
-the fast pipeline is cross-checked against these.
+generators, f-vectors, divisibility and avoidance are computed from first
+principles by subset tests and permutation search; every symmetric
+computation in the fast pipeline is cross-checked against these.
+
+The expanded generator set is a union of whole column orbits, so whether a
+mask is a face, meets every generator, or is minimal with that property is
+the same for every mask of its orbit.  brute_f_vector and
+brute_min_gens_dual therefore visit one mask per orbit, the sorted column
+multisets: C(2^c + n - 1, n) masks.  brute_dual_involution_check still
+scans all 2^(c*n) masks, because it tests that the dual it finds is closed
+under column permutations.  The permutation searches (brute_force_avoidance,
+and brute_divides on complemented columns) try all n! matchings.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterable, Sequence
+from itertools import combinations_with_replacement, permutations
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import boolean_poset as bp
-from .errors import CapError, WidthError
+from .errors import CapError, InputError, WidthError
 from .orbit_monomials import GeneratorSystem, TypeVector
 
 MAX_BITS_EXPAND = 22
 MAX_BITS_SCAN = 20
 MAX_BITS_INVOLUTION = 18
 MAX_N_PERMUTATIONS = 7
+BRUTE_MAX_N = 8
 
 
 def _check_bits(c: int, n: int, cap: int) -> None:
@@ -80,15 +90,22 @@ def brute_in_dual(gens_expanded: Iterable[int], b: int) -> bool:
     return all(g & b for g in gens_expanded)
 
 
-def _expanded_generators(system: GeneratorSystem, n: int) -> list[int]:
+def expanded_generators(system: GeneratorSystem, n: int) -> list[int]:
+    """Every monomial mask in the orbits of the system's generators, ascending."""
     gens: set[int] = set()
     for a in system.generators:
         gens.update(expand_orbit(a, n))
     return sorted(gens)
 
 
-def _coverage_table(gens: Sequence[int], size: int) -> tuple[list[int], int]:
-    """covered[B] = set of generator indices B meets, as a bitset."""
+def _orbit_representatives(c: int, n: int) -> Iterator[int]:
+    """One mask per column-permutation orbit: the sorted column multisets."""
+    for cols in combinations_with_replacement(range(1 << c), n):
+        yield mask_of_columns(cols, c)
+
+
+def _cover_bits(gens: Sequence[int], size: int) -> list[int]:
+    """cover[i] = set of generator indices holding bit i, as a bitset."""
     cover = [0] * size
     for gi, g in enumerate(gens):
         m = g
@@ -96,6 +113,12 @@ def _coverage_table(gens: Sequence[int], size: int) -> tuple[list[int], int]:
             low = m & -m
             cover[low.bit_length() - 1] |= 1 << gi
             m ^= low
+    return cover
+
+
+def _coverage_table(gens: Sequence[int], size: int) -> tuple[list[int], int]:
+    """covered[B] = set of generator indices B meets, as a bitset."""
+    cover = _cover_bits(gens, size)
     covered = [0] * (1 << size)
     for mask in range(1, 1 << size):
         low = mask & -mask
@@ -124,29 +147,60 @@ def _minimal_hitting_sets(gens: Sequence[int], size: int) -> list[int]:
 
 
 def brute_min_gens_dual(system: GeneratorSystem, n: int) -> frozenset:
-    """Orbit classes of the dual's minimal generators, by full 2^(c*n) scan."""
+    """Orbit classes of the dual's minimal generators, one mask per orbit."""
     _check_bits(system.c, n, MAX_BITS_SCAN)
     if n < system.m:
         raise WidthError(f"width n={n} below the system's stability width {system.m}")
-    gens = _expanded_generators(system, n)
-    minimal = _minimal_hitting_sets(gens, system.c * n)
-    return frozenset(
-        type_vector_of_mask(mask, system.c, n) for mask in minimal
-    )
+    gens = expanded_generators(system, n)
+    cover = _cover_bits(gens, system.c * n)
+    fullset = (1 << len(gens)) - 1
+    out = []
+    for mask in _orbit_representatives(system.c, n):
+        covers = []
+        met = met_twice = 0
+        m = mask
+        while m:
+            low = m & -m
+            meets = cover[low.bit_length() - 1]
+            covers.append(meets)
+            met_twice |= met & meets
+            met |= meets
+            m ^= low
+        # Dropping one bit of the mask leaves some generator unmet iff that
+        # bit is the only one meeting it.
+        if met == fullset and all(meets & ~met_twice for meets in covers):
+            out.append(type_vector_of_mask(mask, system.c, n))
+    return frozenset(out)
+
+
+def brute_force_avoidance(
+    f: Sequence[int], g: Sequence[int]
+) -> Optional[list[int]]:
+    """First permutation sigma, over all |N|! of them, with f[i] & g[sigma[i]] == 0."""
+    if len(f) != len(g):
+        raise InputError("f and g must have the same length")
+    n = len(f)
+    if n > BRUTE_MAX_N:
+        raise CapError(f"brute-force avoidance capped at N<={BRUTE_MAX_N}")
+    for perm in permutations(range(n)):
+        if all(f[i] & g[perm[i]] == 0 for i in range(n)):
+            return list(perm)
+    return None
 
 
 def brute_divides(bp_tv: TypeVector, b: TypeVector, n: int) -> bool:
-    """Exhaustive column matching over all n! permutations."""
+    """Exhaustive column matching over all n! permutations.
+
+    A column fits inside another iff it misses the other's complement, so
+    this is the avoidance search against b's complemented columns.
+    """
     if n > MAX_N_PERMUTATIONS:
         raise CapError(f"permutation search capped at n<={MAX_N_PERMUTATIONS}")
     if n < max(bp_tv.weight, b.weight):
         raise WidthError("width below weight")
-    small = standard_columns(bp_tv, n)
-    large = standard_columns(b, n)
-    for perm in permutations(range(n)):
-        if all(small[i] & ~large[perm[i]] == 0 for i in range(n)):
-            return True
-    return False
+    full = bp.full_mask(b.c)
+    outside = [full ^ col for col in standard_columns(b, n)]
+    return brute_force_avoidance(standard_columns(bp_tv, n), outside) is not None
 
 
 def standard_columns(tv: TypeVector, n: int) -> list[int]:
@@ -157,37 +211,20 @@ def standard_columns(tv: TypeVector, n: int) -> list[int]:
     return cols
 
 
-def _ideal_membership_table(gens: Sequence[int], size: int) -> bytearray:
-    """in_ideal[B] = 1 iff some generator's mask is a submask of B."""
-    genset = set(gens)
-    table = bytearray(1 << size)
-    for mask in range(1 << size):
-        if mask in genset:
-            table[mask] = 1
-            continue
-        m = mask
-        while m:
-            low = m & -m
-            if table[mask ^ low]:
-                table[mask] = 1
-                break
-            m ^= low
-    return table
-
-
 def brute_f_vector(system: GeneratorSystem, n: int) -> dict[int, int]:
-    """Orbit counts of faces by dimension (degree - 1), from the full scan."""
+    """Orbit counts of faces by dimension (degree - 1), one mask per orbit.
+
+    A face is a mask with no expanded generator as a submask.
+    """
     _check_bits(system.c, n, MAX_BITS_SCAN)
-    gens = _expanded_generators(system, n)
-    size = system.c * n
-    in_ideal = _ideal_membership_table(gens, size)
-    orbits: dict[int, set] = {}
-    for mask in range(1 << size):
-        if in_ideal[mask]:
-            continue
-        j = mask.bit_count() - 1
-        orbits.setdefault(j, set()).add(type_vector_of_mask(mask, system.c, n))
-    return {j: len(classes) for j, classes in sorted(orbits.items())}
+    gens = expanded_generators(system, n)
+    counts: dict[int, int] = {}
+    for mask in _orbit_representatives(system.c, n):
+        outside = ~mask
+        if all(g & outside for g in gens):
+            j = mask.bit_count() - 1
+            counts[j] = counts.get(j, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def min_monomial_generators(masks: Iterable[int]) -> set[int]:
@@ -208,7 +245,7 @@ def brute_dual_involution_check(system: GeneratorSystem, n: int) -> bool:
     """
     _check_bits(system.c, n, MAX_BITS_INVOLUTION)
     size = system.c * n
-    gens = _expanded_generators(system, n)
+    gens = expanded_generators(system, n)
     original_min = min_monomial_generators(gens)
     dual_min = _minimal_hitting_sets(gens, size)
     dual_set = set(dual_min)

