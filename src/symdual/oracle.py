@@ -204,6 +204,9 @@ def brute_divides(bp_tv: TypeVector, b: TypeVector, n: int) -> bool:
 
 
 def standard_columns(tv: TypeVector, n: int) -> list[int]:
+    """Canonical n columns: blocks in decreasing standard order, zero-padded."""
+    if n < tv.weight:
+        raise WidthError(f"width n={n} below weight {tv.weight}")
     cols: list[int] = []
     for mask, k in tv.items:
         cols.extend([mask] * k)

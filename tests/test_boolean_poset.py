@@ -23,6 +23,25 @@ def above(s, t):
     return bp.subset_sort_key(s) < bp.subset_sort_key(t)
 
 
+class TestComplement:
+    """[c] - T, as the family complement of the one-member family {T}."""
+
+    def test_empty_set(self):
+        assert bp.complement_family(fam(0), 3) == fam(m(1, 2, 3))
+
+    def test_pair(self):
+        assert bp.complement_family(fam(m(1, 2)), 3) == fam(m(3))
+
+    def test_singleton(self):
+        assert bp.complement_family(fam(m(2)), 3) == fam(m(1, 3))
+
+    def test_involution(self):
+        for t in range(8):
+            once = bp.complement_family(fam(t), 3)
+            assert once == fam(bp.full_mask(3) ^ t)
+            assert bp.complement_family(once, 3) == fam(t)
+
+
 class TestComplementFamily:
     def test_elementwise(self):
         family = fam(m(1, 2), m(2, 3), m(1, 3), m(1, 2, 3))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from symdual import boolean_poset as bp
-from symdual.errors import InputError
+from symdual.errors import InputError, WidthError
 from symdual.oracle import standard_columns
 from symdual.orbit_monomials import (
     GeneratorSystem,
@@ -71,6 +71,10 @@ class TestStandardMatrix:
     def test_empty_padding(self):
         got = standard_matrix(TypeVector.from_counts(2, {}), 2)
         assert got == [[0, 0], [0, 0]]
+
+    def test_width_too_small(self):
+        with pytest.raises(WidthError):
+            standard_matrix(tv(2, {(1,): 3}), 2)
 
 
 class TestDegreeAndWeight:
