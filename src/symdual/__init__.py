@@ -23,8 +23,6 @@ from .counting import (
 from .dual_core import (
     divides_up_to_sym,
     general_candidates,
-    in_dual,
-    in_dual_single,
     k_of_antichain,
     min_degree_gens,
     min_gens,
@@ -43,7 +41,6 @@ from .lattice_geometry import (
     SumPolyhedron,
     cone_decompose,
     count_on_slice,
-    enumerate_slice,
     slice_polynomial_threshold,
 )
 from .orbit_monomials import (

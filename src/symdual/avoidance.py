@@ -19,34 +19,34 @@ at most one, so how many times one (t, s) pairing may repeat is the least
 slack it touches, and the greedy takes them in one batch.  The number of
 batches depends on c, not on |N|.
 
-hall_violation is the package's one Hall check; dual membership and
-divisibility up to symmetry (dual_core) call it with other right-hand sides.
+hall_violation is the package's one Hall check, on (mask, count) pairs;
+divisibility up to symmetry (dual_core) calls it on two type vectors' items.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from . import boolean_poset as bp
 from .errors import InputError
 
 
 def hall_violation(
-    c: int, k: Mapping[int, int], r: Mapping[int, int]
+    c: int, k: Iterable[tuple[int, int]], r: Collection[tuple[int, int]]
 ) -> Optional[int]:
     """First J in bp.proper_nonempty_ideals(c) with sum_J k_T > sum_J r_T, or None.
 
-    k and r map subset masks to nonnegative counts; J is a 2^c-bit family.
-    Only the ideals whose minimal elements lie in supp(k) are visited.  That
-    finds the same first violator: shrinking a violator J to the upper
-    closure of J & supp(k) keeps its k-sum, does not raise its r-sum, and
-    sorts no later.
+    k and r hold (subset mask, nonnegative count) pairs, each mask at most
+    once; J is a 2^c-bit family.  Only the ideals whose minimal elements lie
+    in supp(k) are visited.  That finds the same first violator: shrinking a
+    violator J to the upper closure of J & supp(k) keeps its k-sum, does not
+    raise its r-sum, and sorts no later.
     """
-    ks = [(t, v) for t, v in k.items() if t and v]
+    ks = [(t, v) for t, v in k if t and v]
     for ideal in bp.ideals_generated_in(c, sum(1 << t for t, _ in ks)):
         lhs = sum(v for t, v in ks if ideal >> t & 1)
-        if lhs > sum(v for t, v in r.items() if ideal >> t & 1):
+        if lhs > sum(v for t, v in r if ideal >> t & 1):
             return ideal
     return None
 
@@ -55,7 +55,7 @@ def _violating_ideal(c: int, k: Mapping[int, int], l: Mapping[int, int]):
     """First proper nonempty ideal J with sum_J k_T > sum_J l_{T^C}, or None."""
     bp.check_ideal_cap(c)
     full = bp.full_mask(c)
-    return hall_violation(c, k, {full ^ t: v for t, v in l.items()})
+    return hall_violation(c, k.items(), [(full ^ t, v) for t, v in l.items()])
 
 
 def violating_order_ideal(

@@ -114,19 +114,14 @@ def complement_family(family: int, c: int) -> int:
     return family
 
 
-def subset_sort_key(mask: int):
-    """Sort key putting subsets in decreasing standard order.
+def sort_standard(masks: Iterable[int]) -> list[int]:
+    """Masks in decreasing standard order.
 
     Larger cardinality first; at equal cardinality the subset whose first
     differing element is smaller comes first (the order induced by
     1 > 2 > ... > c).
     """
-    return (-mask.bit_count(), elements(mask))
-
-
-def sort_standard(masks: Iterable[int]) -> list[int]:
-    """Masks in decreasing standard order."""
-    return sorted(masks, key=subset_sort_key)
+    return sorted(masks, key=lambda mask: (-mask.bit_count(), elements(mask)))
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,7 @@ SYMDUAL_MAX_C is the one cap override.  When set and nonempty it must be an
 integer >= 1, and it replaces both the order-ideal enumeration cap and the
 cap on operations that quantify over tuples of order ideals.  Every other
 cap is a constant without an override: SUBSET_MAX_C here, MAX_DIMENSION and
-MAX_ORTHANTS in lattice_geometry, and the brute-force caps of oracle and
-avoidance.
+MAX_ORTHANTS in lattice_geometry, and the brute-force caps of oracle.
 """
 
 import os

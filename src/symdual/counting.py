@@ -181,6 +181,8 @@ def type_vectors_of_degree(
     own stack, so its depth is not bounded by the interpreter's recursion
     limit, and it steps over the supports that can only take 0: those larger
     than the remaining degree, and all of them once the weight is spent.
+    counts holds one entry per open frame with a nonzero multiplicity, in
+    stack order, which is the standard order, so its items are the vector's.
     """
     bp.check_ambient(c)
     if degree < 0:
@@ -201,7 +203,7 @@ def type_vectors_of_degree(
         return [idx, remaining, weight, top]
 
     if degree == 0:
-        yield TypeVector.from_counts(c, {})
+        yield TypeVector(c, ())
         return
     root = frame(0, degree, 0)
     stack = [root] if root else []
@@ -220,7 +222,7 @@ def type_vectors_of_degree(
             counts.pop(mask, None)
         left = remaining - k * mask.bit_count()
         if left == 0:
-            yield TypeVector.from_counts(c, dict(counts))
+            yield TypeVector(c, tuple(counts.items()))
             continue
         child = frame(idx + 1, left, weight + k)
         if child:

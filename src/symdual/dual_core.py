@@ -1,19 +1,18 @@
-"""Membership, divisibility and minimal orbit generators of Alexander duals.
+"""Divisibility and minimal orbit generators of Alexander duals.
 
 Everything here runs on TypeVectors.  Write k_T for the column counts of a
-generator orbit and l_T for those of a candidate monomial, with the implicit
-l_empty = n - weight padding.  Membership and divisibility are both the
-avoidance check, avoidance.hall_violation, with other right-hand sides:
+generator orbit and l_T for those of a candidate monomial.  Divisibility is
+the avoidance check, avoidance.hall_violation, on the two count vectors: a
+divides b up to column permutation iff no proper nonempty order ideal J of
+2^[c] has an a-sum above its b-sum (J = 2^[c] holds with equality and is
+skipped).  Dual membership is the same check with the complemented counts
+of b on the right: b is in the dual of the one-orbit ideal of a iff some
+proper nonempty J has sum_{T in J} k_T > sum_{T in J} l_{T^C}, with the
+implicit l_empty = n - weight padding, and a multi-orbit dual is the
+intersection of the one-orbit duals.  No pipeline step tests membership
+itself, so that lemma lives in the tests, held to the oracle.
 
-* b is in the dual of the one-orbit ideal of a iff some proper nonempty
-  order ideal J of 2^[c] has sum_{T in J} k_T > sum_{T in J} l_{T^C};
-* the dual of a multi-orbit ideal is the intersection over the orbit
-  generators;
-* a divides b up to column permutation iff no proper nonempty order ideal J
-  has an a-sum above its b-sum (J = 2^[c] holds with equality and is
-  skipped).
-
-On top of those sit the minimal generating sets, and min_gens picks the
+On top of divisibility sit the minimal generating sets, and min_gens picks the
 path from the input.  A one-generator system takes the closed form, one
 class per antichain cut out by inequalities on the column counts.  Two or
 more generators take the ideal-tuple enumeration, pruned to minimality by
@@ -44,30 +43,13 @@ def k_of_antichain(tv: TypeVector, antichain: int) -> int:
     )
 
 
-def in_dual_single(a: TypeVector, b: TypeVector, n: int) -> bool:
-    """Is the orbit monomial of b in the dual of the one-orbit ideal of a at width n?"""
-    if a.c != b.c:
-        raise InputError("ambient sizes differ")
-    if n < max(a.weight, b.weight):
-        raise WidthError(f"width n={n} below weight {max(a.weight, b.weight)}")
-    full = bp.full_mask(a.c)
-    l_bar = {full ^ t: v for t, v in b.items}
-    l_bar[full] = n - b.weight
-    return hall_violation(a.c, a.counts, l_bar) is not None
-
-
-def in_dual(system: GeneratorSystem, b: TypeVector, n: int) -> bool:
-    """Membership in the dual of a multi-orbit ideal: all one-orbit duals at once."""
-    return all(in_dual_single(a, b, n) for a in system.generators)
-
-
 def divides_up_to_sym(bp_tv: TypeVector, b: TypeVector, n: int) -> bool:
     """Does bp_tv's monomial divide some column permutation of b's at width n?"""
     if bp_tv.c != b.c:
         raise InputError("ambient sizes differ")
     if n < max(bp_tv.weight, b.weight):
         raise WidthError(f"width n={n} below weight {max(bp_tv.weight, b.weight)}")
-    return hall_violation(bp_tv.c, bp_tv.counts, b.counts) is None
+    return hall_violation(bp_tv.c, bp_tv.items, b.items) is None
 
 
 def superset_sums(tv: TypeVector) -> list[int]:

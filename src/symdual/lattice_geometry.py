@@ -15,6 +15,11 @@ bound are enumerated within their bounds, and the others split recursively.
 Missing lower keys mean "no constraint", except that every coordinate must
 carry its singleton bound: without one the polyhedron is unbounded below in
 that coordinate and has no finite orthant decomposition.
+
+The module holds only what the pipeline runs.  The references it is tested
+against, point membership in a polyhedron or an orthant and the direct
+enumeration of a slice, live in oracle and share no code with
+cone_decompose.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from . import boolean_poset as bp
 from .errors import CapError, InputError
@@ -60,17 +65,6 @@ class SumPolyhedron:
             up[mask] = min(up.get(mask, bound), bound)
         return cls(k, tuple(sorted(low.items())), tuple(sorted(up.items())))
 
-    def contains(self, point: Sequence[int]) -> bool:
-        if len(point) != self.k:
-            raise InputError(f"point has {len(point)} coordinates, expected {self.k}")
-        for mask, bound in self.lower:
-            if _coord_sum(point, mask) < bound:
-                return False
-        for mask, bound in self.upper:
-            if _coord_sum(point, mask) > bound:
-                return False
-        return True
-
 
 def _as_mask(key, k: int) -> int:
     if isinstance(key, int):
@@ -81,40 +75,15 @@ def _as_mask(key, k: int) -> int:
     return bp.mask_of(key, k)
 
 
-def _coord_sum(point: Sequence[int], mask: int) -> int:
-    total = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            total += point[i]
-        mask >>= 1
-        i += 1
-    return total
+class Orthant(NamedTuple):
+    """Pointed integral cone: fixed coordinates plus lower-bounded free ones.
 
+    Both are (1-based coordinate, value) pairs sorted by coordinate, and
+    together their coordinates are 1..k exactly once each.
+    """
 
-@dataclass(frozen=True)
-class Orthant:
-    """Pointed integral cone: fixed coordinates plus lower-bounded free ones."""
-
-    k: int
     fixed: tuple[tuple[int, int], ...]
     bounded: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        coords = [c for c, _ in self.fixed] + [c for c, _ in self.bounded]
-        if sorted(coords) != list(range(1, self.k + 1)):
-            raise InputError("fixed and bounded coordinates must partition [k]")
-
-    @property
-    def apex(self) -> tuple[int, ...]:
-        values = dict(self.fixed)
-        values.update(dict(self.bounded))
-        return tuple(values[i] for i in range(1, self.k + 1))
-
-    def contains(self, point: Sequence[int]) -> bool:
-        return all(point[c - 1] == v for c, v in self.fixed) and all(
-            point[c - 1] >= v for c, v in self.bounded
-        )
 
 
 def _require_singleton_bounds(lower: Mapping[int, int], coords: Iterable[int]) -> None:
@@ -218,13 +187,9 @@ def cone_decompose(p: SumPolyhedron) -> list[Orthant]:
                 reduced[key & free] = max(reduced.get(key & free, cut), cut)
         witness = [(bit.bit_length(), v) for bit, v in w.items()]
         for fixed, bounded in _split_free(free, reduced):
-            out.append(
-                Orthant(
-                    p.k,
-                    tuple(sorted([*fixed.items(), *witness])),
-                    tuple(sorted(bounded.items())),
-                )
-            )
+            out.append(Orthant(
+                tuple(sorted([*fixed.items(), *witness])), tuple(sorted(bounded.items()))
+            ))
         _check_orthants(len(out))
     return out
 
@@ -250,39 +215,6 @@ def count_on_slice(orthants: Iterable[Orthant], ns: Iterable[int]) -> dict[int, 
             elif n >= b:
                 total += mult * math.comb(n - b + m - 1, m - 1)
         out[n] = total
-    return out
-
-
-def enumerate_slice(
-    p: SumPolyhedron, n: int, box_limit: int = 10**6
-) -> list[tuple[int, ...]]:
-    """All integer points of p with coordinate sum n, by direct filtering."""
-    lower = dict(p.lower)
-    if lower.pop(0, 0) > 0:
-        return []
-    _require_singleton_bounds(lower, range(1, p.k + 1))
-    lows = [lower[1 << j] for j in range(p.k)]
-    span = n - sum(lows)
-    if span < 0:
-        return []
-    if span + 1 > box_limit:
-        raise CapError(f"slice box exceeds {box_limit} per coordinate")
-    out = []
-    point = [0] * p.k
-
-    def rec(idx: int, remaining: int):
-        if idx == p.k - 1:
-            point[idx] = remaining
-            if remaining >= lows[idx] and p.contains(point):
-                out.append(tuple(point))
-            return
-        tail_low = sum(lows[idx + 1 :])
-        for v in range(lows[idx], remaining - tail_low + 1):
-            point[idx] = v
-            rec(idx + 1, remaining - v)
-
-    rec(0, n)
-    out.sort()
     return out
 
 

@@ -1,10 +1,11 @@
-"""Brute-force ground truth at desk scale.
+"""Brute-force ground truth at desk scale: the package's one home of references.
 
 Monomials in the c x n variable grid are single machine-word bitmasks,
 column j (0-based) occupying bits [j*c, (j+1)*c).  Duals, minimal
 generators, f-vectors, divisibility and avoidance are computed from first
 principles by subset tests and permutation search; every symmetric
-computation in the fast pipeline is cross-checked against these.
+computation in the fast pipeline is cross-checked against these.  Of the
+pipeline modules only cli imports this one, for the verify command.
 
 The expanded generator set is a union of whole column orbits, so whether a
 mask is a face, meets every generator, or is minimal with that property is
@@ -12,8 +13,14 @@ the same for every mask of its orbit.  brute_f_vector and
 brute_min_gens_dual therefore visit one mask per orbit, the sorted column
 multisets: C(2^c + n - 1, n) masks.  brute_dual_involution_check still
 scans all 2^(c*n) masks, because it tests that the dual it finds is closed
-under column permutations.  The permutation searches (brute_force_avoidance,
-and brute_divides on complemented columns) try all n! matchings.
+under column permutations; it expands each orbit of the dual once.  The
+permutation searches (brute_force_avoidance, and brute_divides on
+complemented columns) try all n! matchings.
+
+The lattice-point references for lattice_geometry test points against the
+constraints one by one: in_polyhedron and in_orthant are membership, and
+enumerate_slice lists a slice's points by walking every composition of n
+above the singleton bounds, at most MAX_SLICE_BOX values per coordinate.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import boolean_poset as bp
 from .errors import CapError, InputError, WidthError
+from .lattice_geometry import Orthant, SumPolyhedron
 from .orbit_monomials import GeneratorSystem, TypeVector
 
 MAX_BITS_EXPAND = 22
@@ -30,6 +38,7 @@ MAX_BITS_SCAN = 20
 MAX_BITS_INVOLUTION = 18
 MAX_N_PERMUTATIONS = 7
 BRUTE_MAX_N = 8
+MAX_SLICE_BOX = 10**6
 
 
 def _check_bits(c: int, n: int, cap: int) -> None:
@@ -252,9 +261,81 @@ def brute_dual_involution_check(system: GeneratorSystem, n: int) -> bool:
     original_min = min_monomial_generators(gens)
     dual_min = _minimal_hitting_sets(gens, size)
     dual_set = set(dual_min)
+    # Every mask of an orbit expands to that same orbit, so each is checked once.
+    checked: set[int] = set()
     for mask in dual_min:
-        tv = type_vector_of_mask(mask, system.c, n)
-        if not expand_orbit(tv, n) <= dual_set:
+        if mask in checked:
+            continue
+        orbit = expand_orbit(type_vector_of_mask(mask, system.c, n), n)
+        if not orbit <= dual_set:
             return False
+        checked |= orbit
     double = set(_minimal_hitting_sets(sorted(dual_set), size))
     return double == original_min
+
+
+# -- lattice points ------------------------------------------------------------
+
+
+def _coord_sum(point: Sequence[int], mask: int) -> int:
+    total = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            total += point[i]
+        mask >>= 1
+        i += 1
+    return total
+
+
+def in_polyhedron(p: SumPolyhedron, point: Sequence[int]) -> bool:
+    """Does the point meet every lower and upper bound of p?"""
+    if len(point) != p.k:
+        raise InputError(f"point has {len(point)} coordinates, expected {p.k}")
+    return all(_coord_sum(point, mask) >= bound for mask, bound in p.lower) and all(
+        _coord_sum(point, mask) <= bound for mask, bound in p.upper
+    )
+
+
+def in_orthant(orth: Orthant, point: Sequence[int]) -> bool:
+    """Does the point equal the fixed values and reach the bounded ones?"""
+    return all(point[c - 1] == v for c, v in orth.fixed) and all(
+        point[c - 1] >= v for c, v in orth.bounded
+    )
+
+
+def orthant_apex(orth: Orthant) -> tuple[int, ...]:
+    """The orthant's least point, coordinates 1..k in order."""
+    return tuple(v for _, v in sorted(orth.fixed + orth.bounded))
+
+
+def enumerate_slice(p: SumPolyhedron, n: int) -> list[tuple[int, ...]]:
+    """All integer points of p with coordinate sum n, by direct filtering."""
+    lower = dict(p.lower)
+    if lower.pop(0, 0) > 0:
+        return []
+    lows = [lower.get(1 << j) for j in range(p.k)]
+    if None in lows:
+        raise InputError("every coordinate needs its singleton lower bound")
+    span = n - sum(lows)
+    if span < 0:
+        return []
+    if span + 1 > MAX_SLICE_BOX:
+        raise CapError(f"slice box exceeds {MAX_SLICE_BOX} per coordinate")
+    out = []
+    point = [0] * p.k
+
+    def rec(idx: int, remaining: int):
+        if idx == p.k - 1:
+            point[idx] = remaining
+            if remaining >= lows[idx] and in_polyhedron(p, point):
+                out.append(tuple(point))
+            return
+        tail_low = sum(lows[idx + 1 :])
+        for v in range(lows[idx], remaining - tail_low + 1):
+            point[idx] = v
+            rec(idx + 1, remaining - v)
+
+    rec(0, n)
+    out.sort()
+    return out

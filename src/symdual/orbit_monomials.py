@@ -54,10 +54,6 @@ class TypeVector:
         return cls(c, items)
 
     @property
-    def counts(self) -> dict[int, int]:
-        return dict(self.items)
-
-    @property
     def weight(self) -> int:
         """Number of nonzero columns."""
         return sum(k for _, k in self.items)
@@ -67,10 +63,6 @@ class TypeVector:
         """Total degree of the monomial: sum of count * |support|."""
         return sum(k * m.bit_count() for m, k in self.items)
 
-    @property
-    def support(self) -> frozenset:
-        return frozenset(m for m, _ in self.items)
-
     def sort_key(self):
         """Deterministic order: by degree, then counts read in standard subset order."""
         rank = bp.standard_rank(self.c)
@@ -78,12 +70,6 @@ class TypeVector:
         for m, k in self.items:
             vec[rank[m]] = k
         return (self.degree, tuple(vec))
-
-    def __str__(self) -> str:
-        body = ", ".join(
-            f"{{{','.join(map(str, bp.elements(m)))}}}:{k}" for m, k in self.items
-        )
-        return f"TypeVector(c={self.c}, {{{body}}})"
 
 
 def type_vector_of_matrix(rows: Sequence[Sequence[int]]) -> TypeVector:

@@ -123,7 +123,7 @@ class TestHallKernel:
     @given(count_maps())
     def test_restricted_scan_finds_the_first_violator(self, case):
         c, k, r = case
-        assert hall_violation(c, k, r) == full_scan_violation(c, k, r)
+        assert hall_violation(c, k.items(), r.items()) == full_scan_violation(c, k, r)
 
 
 @st.composite

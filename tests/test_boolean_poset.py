@@ -19,8 +19,8 @@ def as_set(family):
 
 
 def above(s, t):
-    """S > T in the standard order: S sorts strictly before T."""
-    return bp.subset_sort_key(s) < bp.subset_sort_key(t)
+    """S > T in the standard order: sort_standard puts S strictly before T."""
+    return s != t and bp.sort_standard([t, s]) == [s, t]
 
 
 class TestComplement:

@@ -243,3 +243,11 @@ class TestTypeVectorsOfDegree:
         assert list(type_vectors_of_degree(16, 1)) == [
             tv(16, {(i,): 1}) for i in range(1, 17)
         ]
+
+    def test_items_in_standard_order(self):
+        # The walk builds each vector's items directly, without from_counts.
+        for c in range(1, 6):
+            for degree in range(7):
+                for cap in (None, 1, 2, 3, 5):
+                    for got in type_vectors_of_degree(c, degree, max_weight=cap):
+                        assert got == TypeVector.from_counts(c, dict(got.items))

@@ -11,10 +11,16 @@ from symdual.lattice_geometry import (
     SumPolyhedron,
     cone_decompose,
     count_on_slice,
-    enumerate_slice,
     polyhedron_from_json,
     polyhedron_to_json,
     slice_polynomial_threshold,
+)
+from symdual.oracle import (
+    MAX_SLICE_BOX,
+    enumerate_slice,
+    in_orthant,
+    in_polyhedron,
+    orthant_apex,
 )
 
 EXAMPLE = SumPolyhedron.from_maps(
@@ -41,8 +47,8 @@ def random_polyhedron(rng, max_k=4):
 def check_box(p, orthants, pad_low=1, pad_high=5):
     los = [dict(p.lower)[1 << j] for j in range(p.k)]
     for pt in product(*[range(lo - pad_low, lo + pad_high + 1) for lo in los]):
-        hits = sum(1 for o in orthants if o.contains(pt))
-        if p.contains(pt):
+        hits = sum(1 for o in orthants if in_orthant(o, pt))
+        if in_polyhedron(p, pt):
             assert hits == 1, (p, pt, hits)
         else:
             assert hits == 0, (p, pt, hits)
@@ -140,7 +146,17 @@ class TestConeDecompose:
         for _ in range(60):
             p = random_polyhedron(rng)
             for orth in cone_decompose(p):
-                assert p.contains(orth.apex)
+                assert in_polyhedron(p, orthant_apex(orth))
+
+    def test_coordinates_partition(self):
+        rng = random.Random(71)
+        for _ in range(500):
+            p = random_polyhedron(rng)
+            for orth in cone_decompose(p):
+                fixed = [j for j, _ in orth.fixed]
+                bounded = [j for j, _ in orth.bounded]
+                assert fixed == sorted(fixed) and bounded == sorted(bounded)
+                assert sorted(fixed + bounded) == list(range(1, p.k + 1))
 
     def test_random_disjoint_cover(self):
         rng = random.Random(19)
@@ -155,13 +171,13 @@ class TestCountOnSlice:
         assert count_on_slice(orthants, [3, 5]) == {3: 0, 5: 5}
 
     def test_unconstrained_compositions(self):
-        orth = Orthant(3, (), ((1, 0), (2, 0), (3, 0)))
+        orth = Orthant((), ((1, 0), (2, 0), (3, 0)))
         assert count_on_slice([orth], range(6)) == {
             n: (n + 2) * (n + 1) // 2 for n in range(6)
         }
 
     def test_below_minimum_is_zero(self):
-        orth = Orthant(2, ((1, 4),), ((2, 3),))
+        orth = Orthant(((1, 4),), ((2, 3),))
         assert count_on_slice([orth], [5]) == {5: 0}
 
     def test_matches_enumeration(self):
@@ -240,8 +256,9 @@ class TestEnumerateSlice:
 
     def test_box_guard(self):
         p = SumPolyhedron.from_maps(1, {(1,): 0})
+        assert enumerate_slice(p, MAX_SLICE_BOX - 1) == [(MAX_SLICE_BOX - 1,)]
         with pytest.raises(CapError):
-            enumerate_slice(p, 10**7, box_limit=100)
+            enumerate_slice(p, MAX_SLICE_BOX)
 
 
 class TestJson:
