@@ -17,7 +17,7 @@ SUBSET_MAX_C = 16
 # Dedekind growth: 7_828_354 up-sets at c = 6.
 IDEAL_ENUM_MAX_C = 6
 
-# s-tuples of proper order ideals: 168**s tuples at c = 4.
+# s-tuples of order ideals, each inside one support: up to 166**s at c = 4.
 TUPLE_ENUM_MAX_C = 4
 
 ENV_MAX_C = "SYMDUAL_MAX_C"

@@ -16,7 +16,9 @@ On top of divisibility sit the minimal generating sets, and min_gens picks the
 path from the input.  A one-generator system takes the closed form, one
 class per antichain cut out by inequalities on the column counts.  Two or
 more generators take the ideal-tuple enumeration, pruned to minimality by
-divisibility against the smaller survivors.
+divisibility against the smaller survivors.  The enumeration takes, per
+generator, only the ideals generated inside its support, and
+general_candidates shows why the survivors are the same as over all ideals.
 """
 
 from __future__ import annotations
@@ -184,26 +186,34 @@ def _strict_solutions(
 def general_candidates(system: GeneratorSystem, n: int) -> frozenset:
     """Orbit candidates generating the dual of a multi-orbit ideal at width n.
 
-    For every s-tuple of proper nonempty order ideals with nonzero k-sums,
-    solve the strict system bounding the column counts on the complement
-    region (supports restricted to the minimal elements of the region's
-    overlap cells), then distribute the remaining n - fixed columns freely
-    over the antichain generating the untouched region.  The union over
-    tuples generates the dual; it is deduplicated but not yet minimal.
+    Generator g's dual is the union, over the proper nonempty order ideals J
+    with k_J = sum_{T in J} k_T >= 1, of the upward-closed regions
+    {l : sum_{T in J} l_{T^C} <= k_J - 1}.  Only the ideals generated inside
+    supp(g) are taken.  That loses nothing: the upper closure J* of
+    J & supp(g) lies in J, is still proper and nonempty, has k_{J*} = k_J,
+    and its left-hand sum can only drop, so J's region lies inside J*'s.
+    Each generator's union of regions is unchanged, and so is the dual, the
+    union of the tuple intersections.
+
+    For every tuple, one option per generator, solve the strict system
+    bounding the column counts on the complement region (supports
+    restricted to the minimal elements of the region's overlap cells), then
+    distribute the remaining n - fixed columns freely over the antichain
+    generating the untouched region.  The union over tuples lies in the dual
+    and generates it; it is deduplicated but not yet minimal.
     """
     c = system.c
     _check_enumerable(c, system.m, n)
-    ideals = bp.proper_nonempty_ideals(c)
-    bars = [bp.complement_family(j, c) for j in ideals]
     order, rank = bp.standard_order(c), bp.standard_rank(c)
     options = []
     for g in system.generators:
-        ksums = [sum(k for t, k in g.items if j >> t & 1) for j in ideals]
-        options.append([(bar, k - 1) for bar, k in zip(bars, ksums) if k])
+        ideals = bp.ideals_generated_in(c, sum(1 << t for t, _ in g.items))
+        options.append([
+            (bp.complement_family(j, c), sum(k for t, k in g.items if j >> t & 1) - 1)
+            for j in ideals
+        ])
     universe = (1 << (1 << c)) - 1
     out: set[TypeVector] = set()
-    seen_families: set = set()
-    solutions: dict = {}
     for tup in product(*options):
         # Split 2^[c] by which complement families hold each mask.  The
         # cell in none of them is the untouched region; every family holds 0.
@@ -216,29 +226,18 @@ def general_candidates(system: GeneratorSystem, n: int) -> frozenset:
                 if members & ~bar:
                     split.append((members & ~bar, rows))
             cells = split
-        # Solutions depend only on the caps and the cells' minimal elements,
-        # packed one 2^c-bit slot per row set.
-        cells = [(bp.minimal_elements(members, c), rows) for members, rows in cells]
-        caps = tuple(cap for _, cap in tup)
-        key = (sum(minimal << (rows << c) for minimal, rows in cells if rows), caps)
-        if key not in solutions:
-            allowed = sorted(
-                (s, tuple(i for i in range(len(tup)) if rows >> i & 1))
-                for minimal, rows in cells if rows
-                for s in bp.members(minimal)
-            )
-            solutions[key] = _strict_solutions(allowed, caps)
-        free = next(minimal for minimal, rows in cells if not rows)
-        for fixed in solutions[key]:
-            family = (fixed, free)
-            if family in seen_families:
-                continue
-            seen_families.add(family)
+        allowed = [
+            (s, tuple(i for i in range(len(tup)) if rows >> i & 1))
+            for members, rows in cells if rows
+            for s in bp.members(bp.minimal_elements(members, c))
+        ]
+        free = bp.minimal_elements(next(m for m, rows in cells if not rows), c)
+        chain = [s for s in order if free >> s & 1]
+        for fixed in _strict_solutions(allowed, tuple(cap for _, cap in tup)):
             free_total = n - sum(v for _, v in fixed)
             if free_total < 0:
                 continue
             base = [(s, v) for s, v in fixed if s]
-            chain = [s for s in order if free >> s & 1]
             for combo in _compositions(free_total, len(chain), 0):
                 items = base + [(s, v) for s, v in zip(chain, combo) if v]
                 if items:

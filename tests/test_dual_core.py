@@ -4,7 +4,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from symdual import boolean_poset as bp
+from symdual import boolean_poset as bp, dual_core
 from symdual.avoidance import violating_order_ideal
 from symdual.dual_core import (
     _general_min_gens,
@@ -17,6 +17,7 @@ from symdual.dual_core import (
 )
 from symdual.errors import WidthError
 from symdual.oracle import (
+    MAX_BITS_SCAN,
     brute_divides,
     brute_in_dual,
     brute_min_gens_dual,
@@ -50,6 +51,9 @@ TWO_ORBIT = GeneratorSystem.make(
 )
 SYSTEM_1234_13 = GeneratorSystem.make(
     4, [tv(4, {(1, 2): 1, (3, 4): 1}), tv(4, {(1, 3): 1})]
+)
+SYSTEM_1234_13_2423 = GeneratorSystem.make(
+    4, [*SYSTEM_1234_13.generators, tv(4, {(2, 4): 1, (2, 3): 1})]
 )
 
 
@@ -246,16 +250,18 @@ class TestTwoGeneratorSystems:
 
 @st.composite
 def oracle_sized_systems(draw):
-    """One- and two-generator systems at c <= 3 with a width n, c*n <= 15."""
-    c = draw(st.integers(1, 3))
+    """Systems of one to three generators at c <= 4 with a width n, c*n <= 20,
+    the oracle's MAX_BITS_SCAN."""
+    c = draw(st.integers(1, 4))
     counts = st.dictionaries(
         st.integers(1, (1 << c) - 1), st.integers(1, 2), min_size=1, max_size=3
     )
     system = GeneratorSystem.make(
-        c, [TypeVector.from_counts(c, draw(counts)) for _ in range(draw(st.integers(1, 2)))]
+        c, [TypeVector.from_counts(c, draw(counts)) for _ in range(draw(st.integers(1, 3)))]
     )
-    assume(system.m <= 15 // c)
-    return system, draw(st.integers(system.m, 15 // c))
+    top = MAX_BITS_SCAN // c
+    assume(system.m <= top)
+    return system, draw(st.integers(system.m, top))
 
 
 class TestMinGensAgainstOracle:
@@ -269,13 +275,42 @@ class TestMinGensAgainstOracle:
 
 class TestGeneralCandidates:
     @pytest.mark.parametrize("n, candidates, survivors", [
-        (6, 1118, 12), (8, 2319, 16), (10, 4100, 20),
+        (6, 80, 12), (8, 131, 16), (10, 194, 20),
     ])
     def test_pinned_counts_1234_13(self, n, candidates, survivors):
         assert len(general_candidates(SYSTEM_1234_13, n)) == candidates
         gens = _general_min_gens(SYSTEM_1234_13, n)
         assert len(gens) == survivors
         assert list(gens) == sorted(gens, key=TypeVector.sort_key)
+
+    def test_one_strict_system_per_tuple_of_support_ideals(self, monkeypatch):
+        # {12,34} generates 3 ideals inside its support and {13} one, so
+        # the enumeration solves 3 strict systems, not one per tuple of all
+        # proper ideals with nonzero k-sums.
+        calls = []
+        solve = dual_core._strict_solutions
+
+        def counted(allowed, caps):
+            calls.append(caps)
+            return solve(allowed, caps)
+
+        monkeypatch.setattr(dual_core, "_strict_solutions", counted)
+        general_candidates(SYSTEM_1234_13, 6)
+        assert len(calls) == 3
+
+    def test_three_generators_at_c4(self):
+        gens = min_gens(SYSTEM_1234_13_2423, 4)
+        assert len(gens) == 29
+        assert set(gens) == brute_min_gens_dual(SYSTEM_1234_13_2423, 4)
+
+    def test_c5_under_the_cap_override(self, monkeypatch):
+        monkeypatch.setenv("SYMDUAL_MAX_C", "5")
+        system = GeneratorSystem.make(
+            5, [tv(5, {(1, 2): 1, (3, 4): 1}), tv(5, {(1, 5): 1, (2, 3): 1})]
+        )
+        gens = min_gens(system, 4)
+        assert len(gens) == 65
+        assert set(gens) == brute_min_gens_dual(system, 4)
 
     def test_two_orbit_displayed_generators_present(self):
         cands = general_candidates(TWO_ORBIT, 4)
